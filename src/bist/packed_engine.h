@@ -20,6 +20,17 @@
 // lane block; it reproduces Misr (bist/misr.h) exactly, including the input
 // folding rule, so lane verdicts match the scalar engine's.
 //
+// Lane-uniform fast path.  At every address the runner first tries the
+// memory's lane-uniform port (PackedMemoryT::read_uniform/write_uniform):
+// a word on a non-packed page is fault-free and identical in every lane,
+// so it travels as plain scalar bits — the op masks carry a scalar form
+// next to their broadcast blocks, the transparent base-estimate register
+// stays scalar while its word is uniform, and reads reach the sinks
+// through PackedReadSinkT::on_read_uniform.  The lane-block path runs only
+// for words on packed pages (fault footprints and divergent-write spill).
+// A sink that does not override on_read_uniform gets the word broadcast
+// into lane blocks, so it stays correct without knowing the fast path.
+//
 // Like the packed memory, the implementation is header-only so each SIMD
 // width compiles in its own arch-flagged translation unit; the 64-lane
 // aliases (PackedReadSink, PackedMisr, PackedMarchRunner) keep the PR 1
@@ -27,7 +38,7 @@
 #ifndef TWM_BIST_PACKED_ENGINE_H
 #define TWM_BIST_PACKED_ENGINE_H
 
-#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -42,11 +53,25 @@ namespace twm {
 
 // Receives the lane blocks of every Read operation.  `value` spans the
 // word width and is only valid for the duration of the call.
+//
+// on_read_uniform delivers a lane-uniform read (every lane holds the same
+// word) as its scalar bits: bit j of `bits` is bit j of the word, `width`
+// <= 64.  The default broadcasts it and forwards to on_read; sinks on the
+// hot path override it to skip the lane blocks altogether.
 template <class Block>
 class PackedReadSinkT {
  public:
   virtual ~PackedReadSinkT() = default;
   virtual void on_read(std::size_t addr, const Block* value) = 0;
+  virtual void on_read_uniform(std::size_t addr, std::uint64_t bits, unsigned width) {
+    expand_.resize(width);
+    for (unsigned j = 0; j < width; ++j)
+      expand_[j] = (bits >> j) & 1u ? block_ones<Block>() : Block{};
+    on_read(addr, expand_.data());
+  }
+
+ private:
+  std::vector<Block> expand_;
 };
 
 // One Galois MISR per lane with the same feedback polynomial; signature bit
@@ -68,6 +93,16 @@ class PackedMisrT {
     step();
     // Fold the input into width-sized chunks (Misr::feed's rule, per lane).
     for (unsigned i = 0; i < input_width; ++i) state_[i % w] ^= input[i];
+  }
+
+  // feed() of a lane-uniform input word given as its scalar bits (a word
+  // of at most 64 bits): the step, then all-ones into the fold target of
+  // every set bit.
+  void feed_uniform(std::uint64_t bits) {
+    const unsigned w = width();
+    step();
+    for (; bits; bits &= bits - 1)
+      state_[static_cast<unsigned>(std::countr_zero(bits)) % w] ^= block_ones<Block>();
   }
 
   const std::vector<Block>& state() const { return state_; }
@@ -158,18 +193,24 @@ class PackedMarchRunnerT {
     Block mismatch{};
     sweep_braked(
         test,
-        [&](std::size_t addr, const Op& op, const Block* mask) {
+        [&](std::size_t addr, const Op& op, const OpMask& mask) {
           if (op.data.relative)
             throw std::invalid_argument(
                 "run_direct: test contains transparent (relative) operations");
           // For absolute specs, mask(w) == value(w, ·): the expected read
           // value / the write data, broadcast over lanes.
           if (op.is_write()) {
-            mem_.write(addr, mask);
+            write_absolute(addr, mask);
+            return;
+          }
+          std::uint64_t bits;
+          if (mem_.read_uniform(addr, bits)) {
+            // A uniform word mismatches in every lane or in none.
+            if (bits != mask.bits) mismatch = block_ones<Block>();
             return;
           }
           const Block* actual = mem_.read(addr);
-          for (unsigned j = 0; j < w; ++j) mismatch |= actual[j] ^ mask[j];
+          for (unsigned j = 0; j < w; ++j) mismatch |= actual[j] ^ mask.blocks[j];
         },
         brake, [&] { return mismatch; });
     return mismatch;
@@ -188,6 +229,34 @@ class PackedMarchRunnerT {
     const unsigned w = mem_.word_width();
     std::vector<Block> data(w);
 
+    // A read sets its word's base estimate (the value read XOR the op
+    // mask): scalar `bits` when the word reads lane-uniform, lane `blocks`
+    // otherwise.  Returns which of the two it set.
+    auto read_base = [&](std::size_t addr, const OpMask& mask, Block* blocks,
+                         std::uint64_t& bits) {
+      if (mem_.read_uniform(addr, bits)) {
+        sink.on_read_uniform(addr, bits, w);
+        bits ^= mask.bits;
+        return true;
+      }
+      const Block* v = mem_.read(addr);
+      sink.on_read(addr, v);
+      for (unsigned j = 0; j < w; ++j) blocks[j] = v[j] ^ mask.blocks[j];
+      return false;
+    };
+    // A word that read uniform is still on its non-packed page: only a
+    // lane-divergent write promotes a page, and a uniform base yields none.
+    auto write_relative = [&](std::size_t addr, const OpMask& mask, const Block* blocks,
+                              std::uint64_t bits, bool uniform) {
+      if (uniform) {
+        if (!mem_.write_uniform(addr, bits ^ mask.bits))
+          throw std::logic_error("run_test: lane-uniform base of a packed word");
+        return;
+      }
+      for (unsigned j = 0; j < w; ++j) data[j] = blocks[j] ^ mask.blocks[j];
+      mem_.write(addr, data.data());
+    };
+
     if (history_free_relative(test)) {
       // Every relative write is preceded by a read of the same word earlier
       // in its element's op list, so by the time the write fires the "most
@@ -195,25 +264,21 @@ class PackedMarchRunnerT {
       // address: the base estimate register shrinks to O(width) instead of
       // an O(words x width) shadow copy of the memory.
       std::vector<Block> cur(w);
+      std::uint64_t cur_bits = 0;
+      bool cur_uniform = false;
       std::size_t cur_addr = static_cast<std::size_t>(-1);
       sweep_braked(
           test,
-          [&](std::size_t addr, const Op& op, const Block* mask) {
+          [&](std::size_t addr, const Op& op, const OpMask& mask) {
             if (op.is_read()) {
-              const Block* v = mem_.read(addr);
-              sink.on_read(addr, v);
-              for (unsigned j = 0; j < w; ++j) cur[j] = v[j] ^ mask[j];
+              cur_uniform = read_base(addr, mask, cur.data(), cur_bits);
               cur_addr = addr;
-              return;
-            }
-            if (op.data.relative) {
+            } else if (op.data.relative) {
               if (cur_addr != addr)
                 throw std::logic_error("run_test: transparent write before any read of word");
-              for (unsigned j = 0; j < w; ++j) data[j] = cur[j] ^ mask[j];
-              mem_.write(addr, data.data());
+              write_relative(addr, mask, cur.data(), cur_bits, cur_uniform);
             } else {
-              // Absolute write: mask(w) == value(w, ·), lane-uniform.
-              mem_.write(addr, mask);
+              write_absolute(addr, mask);
             }
           },
           brake, std::forward<VerdictFn>(verdict));
@@ -224,28 +289,23 @@ class PackedMarchRunnerT {
     // an earlier element: the full per-lane base estimate of each word's
     // initial content (the transparent BIST's word register, one copy per
     // universe).
+    enum : char { kNoBase, kUniformBase, kBlockBase };
     std::vector<Block> base(mem_.num_words() * w);
-    std::vector<bool> valid(mem_.num_words(), false);
+    std::vector<std::uint64_t> base_bits(mem_.num_words());
+    std::vector<char> state(mem_.num_words(), kNoBase);
 
     sweep_braked(
         test,
-        [&](std::size_t addr, const Op& op, const Block* mask) {
+        [&](std::size_t addr, const Op& op, const OpMask& mask) {
           Block* b = &base[addr * w];
           if (op.is_read()) {
-            const Block* v = mem_.read(addr);
-            sink.on_read(addr, v);
-            for (unsigned j = 0; j < w; ++j) b[j] = v[j] ^ mask[j];
-            valid[addr] = true;
-            return;
-          }
-          if (op.data.relative) {
-            if (!valid[addr])
+            state[addr] = read_base(addr, mask, b, base_bits[addr]) ? kUniformBase : kBlockBase;
+          } else if (op.data.relative) {
+            if (state[addr] == kNoBase)
               throw std::logic_error("run_test: transparent write before any read of word");
-            for (unsigned j = 0; j < w; ++j) data[j] = b[j] ^ mask[j];
-            mem_.write(addr, data.data());
+            write_relative(addr, mask, b, base_bits[addr], state[addr] == kUniformBase);
           } else {
-            // Absolute write: mask(w) == value(w, ·), lane-uniform.
-            mem_.write(addr, mask);
+            write_absolute(addr, mask);
           }
         },
         brake, std::forward<VerdictFn>(verdict));
@@ -254,11 +314,16 @@ class PackedMarchRunnerT {
   void run_prediction(const MarchTest& prediction, PackedReadSinkT<Block>& sink) {
     const unsigned w = mem_.word_width();
     std::vector<Block> predicted(w);
-    sweep(prediction, [&](std::size_t addr, const Op& op, const Block* mask) {
+    sweep(prediction, [&](std::size_t addr, const Op& op, const OpMask& mask) {
       if (op.is_write())
         throw std::invalid_argument("run_prediction: prediction test must be read-only");
+      std::uint64_t bits;
+      if (mem_.read_uniform(addr, bits)) {
+        sink.on_read_uniform(addr, bits ^ mask.bits, w);
+        return;
+      }
       const Block* raw = mem_.read(addr);
-      for (unsigned j = 0; j < w; ++j) predicted[j] = raw[j] ^ mask[j];
+      for (unsigned j = 0; j < w; ++j) predicted[j] = raw[j] ^ mask.blocks[j];
       sink.on_read(addr, predicted.data());
     });
   }
@@ -277,6 +342,14 @@ class PackedMarchRunnerT {
                                                            bool want_misr = true);
 
  private:
+  // An op's data mask in both port forms: broadcast lane blocks for the
+  // lane-block port, scalar word bits for the lane-uniform port (only
+  // meaningful when the memory has one, i.e. words of <= 64 bits).
+  struct OpMask {
+    std::vector<Block> blocks;
+    std::uint64_t bits = 0;
+  };
+
   // True when every relative write is preceded by a read somewhere earlier
   // in the SAME element's op list — the transparent-march normal form.  The
   // ops of one element run back-to-back at each address, so the read that
@@ -301,20 +374,29 @@ class PackedMarchRunnerT {
     if (brake) brake->elements_entered += test.elements.size();
   }
 
-  // Per-op broadcast masks of a test, flattened as [element][op].
-  static std::vector<std::vector<std::vector<Block>>> op_masks(const MarchTest& test,
-                                                               unsigned w) {
-    std::vector<std::vector<std::vector<Block>>> masks(test.elements.size());
+  // Per-op masks of a test, flattened as [element][op].
+  static std::vector<std::vector<OpMask>> op_masks(const MarchTest& test, unsigned w) {
+    std::vector<std::vector<OpMask>> masks(test.elements.size());
     for (std::size_t e = 0; e < test.elements.size(); ++e) {
       masks[e].reserve(test.elements[e].ops.size());
-      for (const Op& op : test.elements[e].ops)
-        masks[e].push_back(broadcast_block<Block>(op.data.mask(w)));
+      for (const Op& op : test.elements[e].ops) {
+        const BitVec m = op.data.mask(w);
+        OpMask om{broadcast_block<Block>(m), 0};
+        for (unsigned j = 0; j < w && j < 64; ++j)
+          if (m.get(j)) om.bits |= std::uint64_t{1} << j;
+        masks[e].push_back(std::move(om));
+      }
     }
     return masks;
   }
 
+  // An absolute write: mask(w) == value(w, ·), lane-uniform.
+  void write_absolute(std::size_t addr, const OpMask& mask) {
+    if (!mem_.write_uniform(addr, mask.bits)) mem_.write(addr, mask.blocks.data());
+  }
+
   // Visits every (element, op, address) in march order, precomputing the
-  // broadcast data mask of each op once per element.
+  // masks of each op once per element.
   template <typename PerOp>
   void sweep(const MarchTest& test, PerOp&& per_op) {
     sweep_braked(test, std::forward<PerOp>(per_op), nullptr, [] { return Block{}; });
@@ -345,8 +427,7 @@ class PackedMarchRunnerT {
         gen.advance();
         const bool last = gen.done();
         if (!last) mem_.prefetch(gen.current());
-        for (std::size_t i = 0; i < elem.ops.size(); ++i)
-          per_op(addr, elem.ops[i], masks[e][i].data());
+        for (std::size_t i = 0; i < elem.ops.size(); ++i) per_op(addr, elem.ops[i], masks[e][i]);
         if (brake && brake->should_stop(verdict())) return;
         if (last) break;
         addr = gen.current();
@@ -362,48 +443,57 @@ namespace packed_detail {
 
 // Records the packed read stream, compressed.  Reads of unfaulted words are
 // lane-uniform (every lane holds the golden value), so the common case
-// stores one bit per bit-plane; only reads whose lanes diverge — a bounded
-// set, proportional to the fault footprint, not the geometry — keep their
-// full lane blocks in a position-sorted side table.  This turns the
-// prediction stream of a W-word march from O(W x width x sizeof(Block))
+// stores one bit per bit-plane — appended straight from the uniform port's
+// scalar bits, with no lane blocks in sight; only reads whose lanes diverge
+// — a bounded set, proportional to the fault footprint, not the geometry —
+// keep their full lane blocks in a position-sorted side table.  This turns
+// the prediction stream of a W-word march from O(W x width x sizeof(Block))
 // into O(W x width / 8) bytes plus the divergent tail.
 template <class Block>
 class StreamRecorder final : public PackedReadSinkT<Block> {
  public:
-  explicit StreamRecorder(unsigned width) : width_(width), scratch_(width) {}
+  explicit StreamRecorder(unsigned width) : width_(width) {}
   void reserve_reads(std::size_t reads) { bits_.reserve((reads * width_ + 63) / 64); }
 
   void on_read(std::size_t, const Block* value) override {
     bool divergent = false;
     for (unsigned j = 0; j < width_ && !divergent; ++j)
       divergent = block_any(value[j]) && block_any(~value[j]);
-    const std::size_t base = count_ * width_;
-    bits_.resize((base + width_ + 63) / 64, 0);
+    const std::size_t base = grow();
     if (divergent) {
-      divergent_.push_back({count_, blocks_.size()});
+      divergent_.push_back({count_ - 1, blocks_.size()});
       blocks_.insert(blocks_.end(), value, value + width_);
-    } else {
-      for (unsigned j = 0; j < width_; ++j)
-        if (block_any(value[j]))
-          bits_[(base + j) >> 6] |= std::uint64_t{1} << ((base + j) & 63);
+      return;
     }
-    ++count_;
+    for (unsigned j = 0; j < width_; ++j)
+      if (block_any(value[j])) bits_[(base + j) >> 6] |= std::uint64_t{1} << ((base + j) & 63);
+  }
+
+  void on_read_uniform(std::size_t, std::uint64_t bits, unsigned) override {
+    set_limb_bits(bits_.data(), grow(), width_, bits);
   }
 
   std::size_t reads() const { return count_; }
 
-  // The returned pointer is valid until the next at() call.
-  const Block* at(std::size_t i) const {
-    const auto it = std::lower_bound(
-        divergent_.begin(), divergent_.end(), i,
-        [](const Entry& e, std::size_t pos) { return e.pos < pos; });
-    if (it != divergent_.end() && it->pos == i) return &blocks_[it->offset];
-    const std::size_t base = i * width_;
-    for (unsigned j = 0; j < width_; ++j)
-      scratch_[j] = ((bits_[(base + j) >> 6] >> ((base + j) & 63)) & 1u)
-                        ? block_ones<Block>()
-                        : Block{};
-    return scratch_.data();
+  // Lane blocks of read `i` if it was divergent, else nullptr.  `cursor`
+  // is the caller's position in the divergent table: lookups must come in
+  // non-decreasing `i` order (a stream comparison's order), which turns
+  // the search into a forward walk.
+  const Block* divergent_at(std::size_t i, std::size_t& cursor) const {
+    while (cursor < divergent_.size() && divergent_[cursor].pos < i) ++cursor;
+    if (cursor < divergent_.size() && divergent_[cursor].pos == i)
+      return &blocks_[divergent_[cursor].offset];
+    return nullptr;
+  }
+
+  // Bit j of a non-divergent read `i`.
+  bool uniform_bit(std::size_t i, unsigned j) const {
+    const std::size_t pos = i * width_ + j;
+    return (bits_[pos >> 6] >> (pos & 63)) & 1u;
+  }
+  // All bits of a non-divergent read `i` (words of <= 64 bits).
+  std::uint64_t uniform_bits(std::size_t i) const {
+    return get_limb_bits(bits_.data(), i * width_, width_);
   }
 
  private:
@@ -412,17 +502,25 @@ class StreamRecorder final : public PackedReadSinkT<Block> {
     std::size_t offset;  // into blocks_ (width_ lane blocks per entry)
   };
 
+  // Appends one read's (zeroed) bit slots; returns its first bit position.
+  std::size_t grow() {
+    const std::size_t base = count_++ * width_;
+    bits_.resize((base + width_ + 63) / 64, 0);
+    return base;
+  }
+
   unsigned width_;
   std::size_t count_ = 0;
   std::vector<std::uint64_t> bits_;  // [pos * width + j] -> uniform lane bit
   std::vector<Entry> divergent_;     // appended in stream order => sorted
   std::vector<Block> blocks_;
-  mutable std::vector<Block> scratch_;
 };
 
 // Feeds reads into a packed MISR and/or diffs them against a recorded
 // prediction stream position-by-position; either checker may be absent
-// (nullptr) when its verdict is not wanted.
+// (nullptr) when its verdict is not wanted.  A uniform read compared with a
+// uniform prediction is one XOR of scalar bits; any difference there is a
+// difference in every lane, exactly as the lane-block comparison finds.
 template <class Block>
 class SessionTestSink final : public PackedReadSinkT<Block> {
  public:
@@ -433,8 +531,24 @@ class SessionTestSink final : public PackedReadSinkT<Block> {
   void on_read(std::size_t, const Block* value) override {
     if (misr_) misr_->feed(value, width_);
     if (prediction_ && pos_ < prediction_->reads()) {
-      const Block* p = prediction_->at(pos_);
-      for (unsigned j = 0; j < width_; ++j) stream_diff_ |= value[j] ^ p[j];
+      if (const Block* p = prediction_->divergent_at(pos_, cursor_)) {
+        for (unsigned j = 0; j < width_; ++j) stream_diff_ |= value[j] ^ p[j];
+      } else {
+        for (unsigned j = 0; j < width_; ++j)
+          stream_diff_ |= prediction_->uniform_bit(pos_, j) ? ~value[j] : value[j];
+      }
+    }
+    ++pos_;
+  }
+
+  void on_read_uniform(std::size_t, std::uint64_t bits, unsigned) override {
+    if (misr_) misr_->feed_uniform(bits);
+    if (prediction_ && pos_ < prediction_->reads()) {
+      if (const Block* p = prediction_->divergent_at(pos_, cursor_)) {
+        for (unsigned j = 0; j < width_; ++j) stream_diff_ |= (bits >> j) & 1u ? ~p[j] : p[j];
+      } else if (bits != prediction_->uniform_bits(pos_)) {
+        stream_diff_ = block_ones<Block>();
+      }
     }
     ++pos_;
   }
@@ -447,6 +561,7 @@ class SessionTestSink final : public PackedReadSinkT<Block> {
   const StreamRecorder<Block>* prediction_;
   PackedMisrT<Block>* misr_;
   std::size_t pos_ = 0;
+  std::size_t cursor_ = 0;  // into the prediction's divergent table
   Block stream_diff_{};
 };
 
@@ -460,6 +575,10 @@ class MisrFeedSink final : public PackedReadSinkT<Block> {
   void on_read(std::size_t addr, const Block* value) override {
     misr_.feed(value, width_);
     if (rec_) rec_->on_read(addr, value);
+  }
+  void on_read_uniform(std::size_t addr, std::uint64_t bits, unsigned width) override {
+    misr_.feed_uniform(bits);
+    if (rec_) rec_->on_read_uniform(addr, bits, width);
   }
 
  private:

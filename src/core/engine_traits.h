@@ -52,6 +52,7 @@
 #define TWM_CORE_ENGINE_TRAITS_H
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -85,6 +86,10 @@ class PackedXorAccumulatorT final : public PackedReadSinkT<Block> {
   explicit PackedXorAccumulatorT(unsigned width) : acc_(width) {}
   void on_read(std::size_t, const Block* value) override {
     for (std::size_t j = 0; j < acc_.size(); ++j) acc_[j] ^= value[j];
+  }
+  void on_read_uniform(std::size_t, std::uint64_t bits, unsigned) override {
+    for (; bits; bits &= bits - 1)
+      acc_[static_cast<std::size_t>(std::countr_zero(bits))] ^= block_ones<Block>();
   }
   const std::vector<Block>& value() const { return acc_; }
 

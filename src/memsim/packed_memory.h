@@ -48,6 +48,18 @@
 // to a free-list and are reused, so the repack scheduler's
 // clear_faults()/fill() round rebuild allocates nothing in steady state.
 //
+// The same invariant gives the memory a second, LANE-UNIFORM port:
+// read_uniform()/write_uniform() move a word on a non-packed page as its
+// plain scalar bits (bit j of a std::uint64_t is bit j of the word), never
+// as width lane blocks.  They return false, touching nothing, on a packed
+// page (or for words wider than 64 bits), and the caller takes the
+// lane-block port instead; a successful call counts one port operation,
+// exactly like read()/write(), so op_count() is the same whichever port
+// served a word.  The march runner (bist/packed_engine.h) tries this port
+// first at every address, so a fault-free word is read, written, recorded
+// and compared as scalar bits through the whole sweep and only fault
+// footprints pay for lane blocks.
+//
 // Wide batches carry proportionally more faults per memory, so the port
 // operations must not scan the whole fault list: faults are indexed by
 // class and address at injection time (in per-page buckets), and
@@ -122,6 +134,28 @@ inline std::vector<std::uint64_t> broadcast_word(const BitVec& word) {
   return broadcast_block<std::uint64_t>(word);
 }
 
+// The `width` (<= 64) bits starting at bit `pos` of a limb array, where bit
+// i of limb k is bit 64k + i: one word of a scalar page, a baseline or a
+// recorded read stream.  A span that straddles a limb boundary needs the
+// next limb to exist.
+inline std::uint64_t get_limb_bits(const std::uint64_t* limbs, std::size_t pos,
+                                   unsigned width) {
+  const unsigned sh = pos & 63;
+  std::uint64_t v = limbs[pos >> 6] >> sh;
+  if (sh + width > 64) v |= limbs[(pos >> 6) + 1] << (64 - sh);
+  return width >= 64 ? v : v & ((std::uint64_t{1} << width) - 1);
+}
+// Overwrites that span with the low `width` bits of `bits`.
+inline void set_limb_bits(std::uint64_t* limbs, std::size_t pos, unsigned width,
+                          std::uint64_t bits) {
+  const std::uint64_t mask = width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+  bits &= mask;
+  const unsigned sh = pos & 63;
+  std::uint64_t* l = limbs + (pos >> 6);
+  l[0] = (l[0] & ~(mask << sh)) | (bits << sh);
+  if (sh + width > 64) l[1] = (l[1] & ~(mask >> (64 - sh))) | (bits >> (64 - sh));
+}
+
 template <class Block>
 class PackedMemoryT {
  public:
@@ -180,6 +214,36 @@ class PackedMemoryT {
       }
     }
     return read_buf_.data();
+  }
+
+  // --- the lane-uniform port (see the header comment) -------------------
+  // True when words are narrow enough (<= 64 bits) for the uniform port.
+  bool uniform_port() const { return width_ <= 64; }
+
+  // Scalar bits of a word on a non-packed page; false (no op counted) on a
+  // packed page or without a uniform port.
+  bool read_uniform(std::size_t addr, std::uint64_t& bits) {
+    if (addr >= words_) throw std::out_of_range("PackedMemory::read");
+    const Page* p = table_[addr >> kMemPageShift].get();
+    if (!uniform_port() || (p && p->packed)) return false;
+    ++ops_;
+    bits = scalar_word(addr, p);
+    return true;
+  }
+
+  // Stores the low word_width() bits of `bits` into a word on a non-packed
+  // page; false (nothing written, no op counted) on a packed page or
+  // without a uniform port.  Like a lane-uniform write(): the page holds
+  // no fault, so nothing can trigger, suppress or disturb anything.
+  bool write_uniform(std::size_t addr, std::uint64_t bits) {
+    if (addr >= words_) throw std::out_of_range("PackedMemory::write");
+    const std::size_t pi = addr >> kMemPageShift;
+    Page* p = table_[pi].get();
+    if (!uniform_port() || (p && p->packed)) return false;
+    ++ops_;
+    Page& sp = p ? *p : materialize_scalar(pi);
+    set_limb_bits(sp.bits.data(), (addr & kMemPageMask) * width_, width_, bits);
+    return true;
   }
 
   // `data` spans word_width() lane blocks (per-lane write data).
@@ -595,6 +659,15 @@ class PackedMemoryT {
     if (p) return get_limb_bit(p->bits.data(), (addr & kMemPageMask) * width_ + j);
     if (bg_bits_) return get_limb_bit(bg_bits_, addr * width_ + j);
     return bg_pattern_.get(j);
+  }
+
+  // Scalar bits of a word (width_ <= 64) on a non-packed page.  Pages and
+  // baselines hold whole 64-word pages, so a straddling word's second limb
+  // always exists.
+  std::uint64_t scalar_word(std::size_t addr, const Page* p) const {
+    if (p) return get_limb_bits(p->bits.data(), (addr & kMemPageMask) * width_, width_);
+    if (bg_bits_) return get_limb_bits(bg_bits_, addr * width_, width_);
+    return get_limb_bits(pattern_limbs_.data(), 0, width_);
   }
 
   // Broadcasts a non-packed word into `dst` (width_ blocks).

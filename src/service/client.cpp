@@ -94,6 +94,14 @@ std::optional<std::string> LineClient::recv_line() {
   }
 }
 
+bool LineClient::wait_readable(int timeout_ms) {
+  if (fd_ < 0 || buffer_.find('\n') != std::string::npos) return true;
+  pollfd p{};
+  p.fd = fd_;
+  p.events = POLLIN;
+  return net_poll(&p, 1, timeout_ms) != 0;
+}
+
 void LineClient::close() {
   if (fd_ >= 0) {
     ::close(fd_);

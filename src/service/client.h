@@ -33,6 +33,11 @@ class LineClient {
   // EOF or socket error.
   std::optional<std::string> recv_line();
 
+  // True once recv_line() will not block: a whole frame is buffered, or
+  // the socket has data, EOF or an error pending.  False when `timeout_ms`
+  // passes first — a caller with a deadline checks this before recv_line.
+  bool wait_readable(int timeout_ms);
+
   // Full close — mid-campaign this is the "client vanished" the server's
   // cooperative cancel reacts to.
   void close();

@@ -56,15 +56,16 @@ ssize_t net_recv(int fd, char* buf, std::size_t size) {
 }
 
 int net_accept(int listen_fd) {
-  bool inject_err = false;
-  if (auto fp = TWM_FAILPOINT("socket.accept"))
-    inject_err = *fp != util::FailAction::Eintr;
   while (true) {
     const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0 && errno == EINTR) continue;
-    if (fd >= 0 && inject_err) {
-      // The connection was already completed by the kernel; failing the
-      // accept means hanging up on it immediately.
+    if (fd < 0) return fd;
+    // Sampled once a connection exists, not before the blocking accept4:
+    // a failpoint armed while the daemon already waits here must still hit
+    // the next connection.  The kernel completed that connection, so
+    // failing the accept means hanging up on it immediately.
+    const auto fp = TWM_FAILPOINT("socket.accept");
+    if (fp && *fp != util::FailAction::Eintr) {
       ::close(fd);
       errno = ECONNABORTED;
       return -1;

@@ -203,10 +203,14 @@ void ServiceServer::serve_forever() {
       break;
     }
     if (active_clients_.load(std::memory_order_relaxed) >= config_.max_clients) {
+      // Counted before the refusal is visible: a client that has read the
+      // error frame and the hang-up must already see it in the counters.
+      {
+        const std::lock_guard<std::mutex> lock(counters_mu_);
+        ++counters_.clients_refused;
+      }
       send_line(fd, error_frame("frame", "server at max_clients capacity"));
       ::close(fd);
-      const std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.clients_refused;
       continue;
     }
     active_clients_.fetch_add(1, std::memory_order_relaxed);

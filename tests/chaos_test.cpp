@@ -538,16 +538,22 @@ TEST_F(ServiceChaosTest, SyntheticEintrOnEverySocketCallIsInvisible) {
 }
 
 TEST_F(ServiceChaosTest, AcceptFailureDropsOneConnectionNotTheDaemon) {
+  // Armed after the daemon may already block in accept: the failpoint must
+  // still hit the next connection.  Each receive has a deadline, so a
+  // connection the daemon wrongly keeps open fails the test, not the run.
+  constexpr int kRecvDeadlineMs = 10000;
   const auto port = start_server();
   ASSERT_TRUE(util::failpoints_configure("socket.accept=err@1"));
   service::LineClient first;
   // The kernel completes the handshake, then the injected accept failure
   // hangs up; connect() may or may not observe it, recv always does.
   first.connect("127.0.0.1", port);
+  ASSERT_TRUE(first.wait_readable(kRecvDeadlineMs)) << "the daemon kept the connection open";
   EXPECT_FALSE(first.recv_line().has_value());
 
   service::LineClient second = connect(port);
   ASSERT_TRUE(second.send_line(service::ping_frame()));
+  ASSERT_TRUE(second.wait_readable(kRecvDeadlineMs)) << "no answer from the daemon";
   const auto pong = second.recv_line();
   ASSERT_TRUE(pong.has_value());
   EXPECT_NE(pong->find("\"type\":\"pong\""), std::string::npos);
