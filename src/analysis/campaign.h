@@ -1,21 +1,24 @@
 // Campaign orchestration: drives many scheme sessions over a fault list.
 //
 // A coverage/diagnosis campaign is embarrassingly parallel across faults:
-// every unit (one fault on the scalar backend, a 63-fault batch + golden
-// lane on the packed backend) is independent.  CampaignRunner owns the
-// machinery every campaign needs —
+// every (fault, seed) verdict is independent of every other.
+// CampaignRunner owns the machinery every campaign needs —
 //
 //   * one SchemePlan compiled per campaign (march transforms amortized
 //     over every fault x seed),
-//   * sharding of units across a thread pool (run_pool),
-//   * the per-seed early exit once the requested verdicts have settled,
+//   * structural fault collapsing (one representative simulated per
+//     equivalence bucket, verdicts expanded back to the full list),
+//   * the survivor-repacking scheduler (analysis/campaign_exec.h):
+//     seed-major rounds that pack still-undecided faults into units (one
+//     fault on the scalar backend, lanes - 1 faults + a golden lane on the
+//     packed one), shard them across a thread pool (run_pool) and cut
+//     sessions short once every lane settled,
 //   * the packed golden-lane self-check (lane 0 carries no fault; a
 //     detection there is an engine bug and aborts the campaign),
 //
 // — and exposes three result shapes: aggregate counts (evaluate), a
 // per-fault verdict vector (per_fault), and the full per-fault x per-seed
-// verdict matrix (matrix).  analysis/coverage.h keeps the classic
-// CoverageEvaluator interface as a thin facade over this runner.
+// verdict matrix (matrix).
 #ifndef TWM_ANALYSIS_CAMPAIGN_H
 #define TWM_ANALYSIS_CAMPAIGN_H
 
@@ -38,33 +41,13 @@ namespace twm {
 //           reference implementation.
 //   Packed  bit-parallel batches of (lanes - 1) faults + 1 golden lane per
 //           packed-memory pass, where `lanes` is the resolved SIMD width
-//           (a single lane block of 64 / 256 / 512 lanes, or a lane TILE
-//           of 4096 / 32768 lanes — core/simd.h, memsim/lane_tile.h).
+//           (one lane block of 64 / 256 / 512 lanes — core/simd.h).
 //           Verdicts are lane-for-lane identical to the scalar backend at
 //           every width (tests/coverage_backend_test.cpp,
-//           tests/tiled_engine_test.cpp).
+//           tests/scheduler_test.cpp).
 enum class CoverageBackend { Scalar, Packed };
 
 std::string to_string(CoverageBackend b);
-
-// How the campaign's fault universes are scheduled onto units.
-//
-//   Dense   Static batch membership (the PR 3/4 scheduler, byte-identical
-//           behavior): faults are sharded into fixed units up front, every
-//           unit runs its full seed loop, every session runs full length.
-//           The pristine debug/reference mode.
-//   Repack  Dynamic scheduling: seed-major rounds rebuild batches from
-//           still-undecided faults only (survivor repacking keeps SIMD
-//           lanes dense as the tail shrinks), sessions with monotone
-//           verdicts abort once every lane settled (mid-session
-//           settle-exit + per-lane fault dropping), and — when
-//           CoverageOptions.collapse is on — structurally equivalent
-//           faults are simulated once per bucket with verdicts expanded
-//           back to the full list.  Verdict-for-verdict identical to
-//           Dense (tests/scheduler_test.cpp enforces it byte-for-byte).
-enum class ScheduleMode { Dense, Repack };
-
-std::string to_string(ScheduleMode m);
 
 struct CoverageOptions {
   CoverageBackend backend = CoverageBackend::Scalar;
@@ -75,13 +58,11 @@ struct CoverageOptions {
   // Auto picks the widest the CPU supports; a forced width throws
   // std::runtime_error at run() time when the CPU cannot execute it.
   simd::Request simd = simd::Request::Auto;
-  // Fault-universe scheduling (see ScheduleMode).  Repack is the default;
-  // Dense is the debug mode differential tests compare against.
-  ScheduleMode schedule = ScheduleMode::Repack;
-  // Structural fault collapsing (Repack only): pre-bucket equivalent
-  // faults (analysis/fault_list.h collapse_faults) and simulate one
-  // representative per bucket.  Off = every fault simulated individually,
-  // for differential attribution of the collapsing win.
+  // Structural fault collapsing: pre-bucket equivalent faults
+  // (analysis/fault_list.h collapse_faults) and simulate one representative
+  // per bucket.  Off = every fault simulated individually — what keeps the
+  // scalar oracle independent of the collapsing rules in differential
+  // tests.
   bool collapse = true;
   // Address-region sharding, orthogonal to the fault sharding above: the
   // fault list is partitioned into `regions` slices of the address space
@@ -98,7 +79,7 @@ struct CoverageOptions {
 
 // Scheduler forward-progress counters, accumulated across worker threads
 // when a CampaignStats* is handed to CampaignRunner::run.  They attribute
-// where a scheduler mode's speedup comes from:
+// where the scheduler's time goes:
 //
 //   lane occupancy   lane_slots / (units * kFaultsPerUnit) — how densely
 //                    the executed unit-sessions were packed with
@@ -113,21 +94,20 @@ struct CampaignStats {
   std::atomic<std::uint64_t> faults_simulated{0};  // faults after collapsing
   std::atomic<std::uint64_t> elements_total{0};     // full-length march elements
   std::atomic<std::uint64_t> elements_executed{0};  // march elements entered
-  // Peak memory pages any worker materialized (repack scheduler only —
-  // the dense scheduler's per-unit memories are not observable).  A
-  // transparent march writes every word, so this tracks the pages the
-  // march walk touched; most of them hold lane-uniform data in the cheap
-  // scalar form (width limbs per page).
+  // Peak memory pages any worker materialized.  A transparent march writes
+  // every word, so this tracks the pages the march walk touched; most of
+  // them hold lane-uniform data in the cheap scalar form (width limbs per
+  // page).
   std::atomic<std::uint64_t> pages_peak{0};
   // Peak pages in the expensive lane-block form.  The huge-memory claim in
   // one number: bounded by the batch's fault footprint (one region's slice
   // under address-region sharding), not by `words`.
   std::atomic<std::uint64_t> packed_pages_peak{0};
-  // Fresh page heap allocations across every worker memory (repack
-  // scheduler only).  The allocation-free round-rebuild contract in one
-  // number: worker memories live for the whole campaign and recycle pages
-  // through their free-lists, so this stays flat as seed rounds are added
-  // instead of growing per round (tests/tiled_engine_test.cpp pins it).
+  // Fresh page heap allocations across every worker memory.  The
+  // allocation-free round-rebuild contract in one number: worker memories
+  // live for the whole campaign and recycle pages through their
+  // free-lists, so this stays flat as seed rounds are added instead of
+  // growing per round (tests/scheduler_test.cpp pins it).
   std::atomic<std::uint64_t> page_allocs{0};
 
   double mean_live_lanes() const {
@@ -227,8 +207,8 @@ class CampaignRunner {
   unsigned width() const { return width_; }
   const CoverageOptions& options() const { return options_; }
 
-  // Aggregate counts; the seed loop stops early per unit once both the
-  // "all" and "any" verdicts have settled.
+  // Aggregate counts; a fault leaves the seed rounds once both its "all"
+  // and "any" verdicts have settled.
   CoverageOutcome evaluate(SchemeKind scheme, const MarchTest& bit_march,
                            const std::vector<Fault>& faults,
                            const std::vector<std::uint64_t>& seeds) const;
@@ -250,9 +230,10 @@ class CampaignRunner {
 
   // Low-level entry point the result shapes above derive from: fills
   // per-fault "detected under every seed" / "under at least one seed"
-  // flags.  When `need_any` is false the per-unit seed loop stops as soon
-  // as the "all" verdict settles.  When `out_matrix` is non-null the early
-  // exit is disabled and every (fault, seed) verdict is recorded into it.
+  // flags.  When `need_any` is false a fault leaves the seed rounds as soon
+  // as its "all" verdict settles.  When `out_matrix` is non-null that
+  // dropping is disabled and every (fault, seed) verdict is recorded into
+  // it.
   // When `observer` is non-null it is streamed unit-by-unit as verdicts
   // settle and may cancel the remainder of the run cooperatively.  When
   // `stats` is non-null the scheduler's forward-progress counters are

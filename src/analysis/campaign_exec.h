@@ -1,29 +1,20 @@
-// Engine-generic campaign execution: the sharding loop every backend and
-// SIMD width runs.
+// Engine-generic campaign execution: the survivor-repacking scheduler every
+// backend and SIMD width runs.
 //
 // CampaignRunner::run (analysis/campaign.cpp) resolves backend + lane-block
-// width and forwards a CampaignJob to run_campaign_engine<Engine>, which
-// shards the fault list into units of Engine::kFaultsPerUnit across the
-// thread pool.  The template lives in this header so each SIMD width can
-// compile it in its own arch-flagged translation unit:
+// width and forwards a CampaignJob to run_campaign_repack<Engine>, which
+// packs the live faults into units of Engine::kFaultsPerUnit per seed round
+// and shards them across the thread pool.  The template lives in this
+// header so each SIMD width can compile it in its own arch-flagged
+// translation unit:
 //
 //   campaign.cpp        ScalarEngine + PackedEngineT<std::uint64_t>  (base)
 //   campaign_w256.cpp   PackedEngineT<LaneBlock<4>>   built with -mavx2
 //   campaign_w512.cpp   PackedEngineT<LaneBlock<8>>   built with -mavx512f
 //
-// and the TILED backend (4096 / 32768 fault universes per pass) compiles
-// the same templates over LaneTile<Inner, T> blocks, one translation unit
-// per inner width:
-//
-//   campaign_tiled.cpp       LaneTile<std::uint64_t, 64|512>   (portable)
-//   campaign_tiled_w256.cpp  LaneTile<LaneBlock<4>, 16|128>    -mavx2
-//   campaign_tiled_w512.cpp  LaneTile<LaneBlock<8>, 8|64>      -mavx512f
-//
-// The wide entry points (run_campaign_w256/w512, run_campaign_tiled_*)
-// must only be called after core/simd.h confirmed the CPU supports the
-// width — they contain vector instructions the dispatcher is the only
-// guard for.  (The tiled BASE entry is portable; the campaign dispatcher
-// picks the widest-inner-block tiled entry the CPU executes.)
+// The wide entry points (run_campaign_w256/w512) must only be called after
+// core/simd.h confirmed the CPU supports the width — they contain vector
+// instructions the dispatcher is the only guard for.
 #ifndef TWM_ANALYSIS_CAMPAIGN_EXEC_H
 #define TWM_ANALYSIS_CAMPAIGN_EXEC_H
 
@@ -34,7 +25,6 @@
 
 #include "analysis/campaign.h"
 #include "core/scheme_session.h"
-#include "memsim/lane_tile.h"
 
 namespace twm {
 
@@ -51,16 +41,11 @@ struct CampaignJob {
   bool need_any = false;
   char* all = nullptr;            // [num_faults] detected under every seed
   char* any = nullptr;            // [num_faults] detected under some seed
-  VerdictMatrix* matrix = nullptr;  // non-null disables the early exit
+  VerdictMatrix* matrix = nullptr;  // non-null disables fault dropping
   // Optional streaming observer: notified per settled unit (and, opt-in,
   // per evaluated seed) and polled for cooperative cancellation before a
   // worker claims its next unit.
   UnitObserver* observer = nullptr;
-  // Scheduler selection + instrumentation (see analysis/campaign.h).  The
-  // wide translation units dispatch on `schedule` internally so the
-  // ABI-stable entry signature stays a single CampaignJob.
-  ScheduleMode schedule = ScheduleMode::Dense;
-  bool settle_exit = false;         // arm mid-session brakes (Repack only)
   CampaignStats* stats = nullptr;   // optional forward-progress counters
 };
 
@@ -71,70 +56,6 @@ inline void check_golden_lane(std::uint64_t verdicts) { require_golden_lane_clea
 template <unsigned K>
 void check_golden_lane(const LaneBlock<K>& verdicts) {
   require_golden_lane_clear(verdicts.w[0]);
-}
-template <class Inner, unsigned T>
-void check_golden_lane(const LaneTile<Inner, T>& verdicts) {
-  require_golden_lane_clear(block_word0(verdicts));
-}
-
-template <class Engine>
-void run_campaign_engine(const CampaignJob& job) {
-  using Verdict = typename Engine::Verdict;
-  constexpr unsigned kPerUnit = Engine::kFaultsPerUnit;
-  const std::size_t n = job.num_faults;
-  const std::size_t units = (n + kPerUnit - 1) / kPerUnit;
-  const unsigned threads = std::max(1u, job.threads);
-  const std::size_t plan_elems = plan_session_elements(*job.plan);
-
-  const bool seed_events = job.observer && job.observer->want_seed_verdicts();
-  std::atomic<std::size_t> next{0};
-  run_pool(threads, [&] {
-    for (;;) {
-      if (job.observer && job.observer->cancelled()) break;
-      const std::size_t u = next.fetch_add(1);
-      if (u >= units) break;
-      const std::size_t lo = u * kPerUnit;
-      const unsigned count = static_cast<unsigned>(std::min<std::size_t>(kPerUnit, n - lo));
-      const Verdict used = Engine::used_mask(count);
-      Verdict a = used, y = Verdict{};
-      for (std::size_t s = 0; s < job.num_seeds; ++s) {
-        if (job.stats) {
-          // Lanes whose verdicts this seed can still change — dense units
-          // keep their founding members, so decided lanes ride along dead.
-          unsigned live = 0;
-          for (unsigned i = 0; i < count; ++i)
-            live += !(!Engine::bit(a, i) && (Engine::bit(y, i) || !job.need_any));
-          job.stats->units.fetch_add(1, std::memory_order_relaxed);
-          job.stats->lane_slots.fetch_add(live, std::memory_order_relaxed);
-          job.stats->elements_total.fetch_add(plan_elems, std::memory_order_relaxed);
-          job.stats->elements_executed.fetch_add(plan_elems, std::memory_order_relaxed);
-        }
-        const Verdict d =
-            run_campaign_unit<Engine>(*job.plan, job.words, &job.faults[lo], count, job.seeds[s]);
-        check_golden_lane(d);
-        a &= d;
-        y |= d;
-        if (seed_events)
-          for (unsigned i = 0; i < count; ++i)
-            job.observer->on_seed_verdict(lo + i, s, Engine::bit(d, i));
-        if (job.matrix) {
-          for (unsigned i = 0; i < count; ++i)
-            job.matrix->bits[(lo + i) * job.num_seeds + s] = static_cast<char>(Engine::bit(d, i));
-        } else if (!seed_events && a == Verdict{} && (y == used || !job.need_any)) {
-          // Requested verdicts settled for every fault in the unit.  An
-          // observer that asked for per-seed verdicts gets the COMPLETE
-          // (fault, seed) stream instead — like the matrix path, the early
-          // exit would silently drop the remaining seeds' records.
-          break;
-        }
-      }
-      for (unsigned i = 0; i < count; ++i) {
-        job.all[lo + i] = static_cast<char>(Engine::bit(a, i));
-        job.any[lo + i] = static_cast<char>(Engine::bit(y, i));
-      }
-      if (job.observer) job.observer->on_unit_settled(lo, count, job.all + lo, job.any + lo);
-    }
-  });
 }
 
 // The survivor-repacking scheduler: seed-major rounds over the shrinking
@@ -150,17 +71,18 @@ void run_campaign_engine(const CampaignJob& job) {
 // A fault is decided once its "all" verdict dropped to 0 and (when the
 // caller asked for it) its "any" verdict rose to 1; remaining seeds cannot
 // change either, so the fault stops occupying a lane.  The verdicts are
-// exactly the dense scheduler's: every evaluated (fault, seed) pair yields
-// the same bit (lanes are independent, so batch composition is
-// irrelevant), and skipped pairs are skipped only when provably
-// irrelevant.  A matrix request or a per-seed-verdict observer needs the
+// exactly those of simulating every (fault, seed) pair on its own: each
+// evaluated pair yields the same bit (lanes are independent, so batch
+// composition is irrelevant), and skipped pairs are skipped only when
+// provably irrelevant (tests/scheduler_test.cpp holds every scheme to the
+// scalar oracle).  A matrix request or a per-seed-verdict observer needs the
 // COMPLETE (fault, seed) stream, which disables dropping (every fault
 // stays live to the last round) but keeps repacked batches + settle-exit.
 //
 // job.all/job.any must be preset by the caller (all = 1, any = 0), exactly
 // as CampaignRunner::run does.
 template <class Engine>
-void run_campaign_engine_repack(const CampaignJob& job) {
+void run_campaign_repack(const CampaignJob& job) {
   using Verdict = typename Engine::Verdict;
   constexpr unsigned kPerUnit = Engine::kFaultsPerUnit;
   const std::size_t n = job.num_faults;
@@ -169,10 +91,6 @@ void run_campaign_engine_repack(const CampaignJob& job) {
   const std::size_t plan_elems = plan_session_elements(*job.plan);
   const bool seed_events = job.observer && job.observer->want_seed_verdicts();
   const bool no_drop = job.matrix != nullptr || seed_events;
-  // Armed for every scheme: run_scheme_session downgrades per scheme (the
-  // MISR case turns the exit off and only keeps the skip of the unconsumed
-  // stream compare; the symmetric session never sees the brake).
-  const bool arm_exit = job.settle_exit;
 
   // Worker state lives for the WHOLE campaign, not one round: the memory's
   // page free-list, fault index buckets, baseline cache and the batch
@@ -219,8 +137,11 @@ void run_campaign_engine_repack(const CampaignJob& job) {
             static_cast<unsigned>(std::min<std::size_t>(kPerUnit, live.size() - lo));
         batch.clear();
         for (unsigned i = 0; i < count; ++i) batch.push_back(job.faults[live[lo + i]]);
+        // Armed for every scheme: run_scheme_session downgrades per scheme
+        // (the MISR case turns the exit off and only keeps the skip of the
+        // unconsumed stream compare; the symmetric session never sees it).
         typename Engine::Brake brake =
-            Engine::make_brake(mem, Engine::used_mask(count), arm_exit);
+            Engine::make_brake(mem, Engine::used_mask(count), /*exit_enabled=*/true);
         const Verdict d = run_campaign_unit_in<Engine>(mem, *job.plan, batch.data(), count,
                                                        job.seeds[s], &brake);
         check_golden_lane(d);
@@ -297,14 +218,6 @@ void run_campaign_engine_repack(const CampaignJob& job) {
 #endif
 TWM_WIDE_ENTRY void run_campaign_w256(const CampaignJob& job);
 TWM_WIDE_ENTRY void run_campaign_w512(const CampaignJob& job);
-
-// Tiled entry points: one per compiled inner-block width, each dispatching
-// internally on `lanes` (kTileLanesSmall / kTileLanesLarge).  The base
-// entry is portable code — safe on any CPU; the _w256/_w512 ones carry the
-// same cpuid contract as the single-block entries above.
-TWM_WIDE_ENTRY void run_campaign_tiled_base(const CampaignJob& job, unsigned lanes);
-TWM_WIDE_ENTRY void run_campaign_tiled_w256(const CampaignJob& job, unsigned lanes);
-TWM_WIDE_ENTRY void run_campaign_tiled_w512(const CampaignJob& job, unsigned lanes);
 
 }  // namespace twm
 

@@ -80,6 +80,10 @@ std::vector<SpecError> validate(const CampaignSpec& spec) {
   if (spec.schemes.empty()) errors.push_back({"schemes", "at least one scheme is required"});
   if (spec.classes.empty())
     errors.push_back({"classes", "at least one fault class is required"});
+  for (std::size_t i = 0; i < spec.classes.size(); ++i)
+    if (auto e = check_class_size(spec.classes[i], spec.words, spec.width,
+                                  "classes[" + std::to_string(i) + "]"))
+      errors.push_back(std::move(*e));
   if (spec.seeds.empty()) errors.push_back({"seeds", "at least one content seed is required"});
   if (spec.threads == 0) errors.push_back({"run.threads", "must be at least 1"});
   if (spec.regions == 0) {
@@ -113,10 +117,19 @@ std::optional<CoverageBackend> parse_backend(std::string_view s) {
   return std::nullopt;
 }
 
-std::optional<ScheduleMode> parse_schedule(std::string_view s) {
-  if (s == "dense") return ScheduleMode::Dense;
-  if (s == "repack") return ScheduleMode::Repack;
-  return std::nullopt;
+std::optional<std::string> legacy_schedule_error(const JsonValue& schedule) {
+  if (schedule.is_string() && schedule.as_string() == "repack") return std::nullopt;
+  if (schedule.is_string() && schedule.as_string() == "dense")
+    return "the dense scheduler was removed (survivor repacking is the only scheduler; "
+           "drop run.schedule)";
+  return "must be \"repack\" or omitted (survivor repacking is the only scheduler)";
+}
+
+std::string simd_spelling_error(std::string_view spelling) {
+  if (spelling.rfind("tiled", 0) == 0)
+    return "'" + std::string(spelling) +
+           "' was removed with the tiled backend (want auto|64|256|512)";
+  return "unknown simd width '" + std::string(spelling) + "' (want auto|64|256|512)";
 }
 
 std::optional<bool> parse_on_off(std::string_view s) {
@@ -366,6 +379,61 @@ std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsign
   return out;
 }
 
+namespace {
+
+std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r;
+  return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+}  // namespace
+
+std::uint64_t class_fault_count(const ClassSel& c, std::size_t words, unsigned width) {
+  const std::uint64_t n = words, b = width;
+  std::uint64_t total = 0;
+  if (c.kind == ClassKind::Af) {
+    total = sat_mul(n, n);  // N no-access + N(N-1) alias faults
+  } else if (!c.is_coupling()) {
+    total = sat_mul(2, sat_mul(n, b));  // two polarities per cell
+  } else {
+    // Ordered (aggressor, victim) cell pairs in scope, times the class's
+    // variants per pair (all_cfs / push_variants).
+    const std::uint64_t intra = sat_mul(n, sat_mul(b, b ? b - 1 : 0));
+    const std::uint64_t inter = sat_mul(sat_mul(n, n ? n - 1 : 0), sat_mul(b, b));
+    const std::uint64_t pairs =
+        c.scope == CfScope::IntraWord   ? intra
+        : c.scope == CfScope::InterWord ? inter
+                                        : (intra > UINT64_MAX - inter ? UINT64_MAX : intra + inter);
+    total = sat_mul(pairs, c.kind == ClassKind::CFin ? 2 : 4);
+  }
+  // A coupling sample draws exactly `sample` faults (with repeats) from a
+  // non-empty pair space; the stride samplers cap at the exhaustive list.
+  if (c.sample == 0) return total;
+  if (c.is_coupling()) return total == 0 ? 0 : c.sample;
+  return std::min<std::uint64_t>(c.sample, total);
+}
+
+std::optional<SpecError> check_class_size(const ClassSel& c, std::size_t words, unsigned width,
+                                          const std::string& path) {
+  const std::uint64_t count = class_fault_count(c, words, width);
+  // sampled_cfs draws pairs until it has `sample` of them: over an empty
+  // pair space (cfid:inter on one word) it would never return.
+  if (c.sample != 0 && c.is_coupling() && count == 0)
+    return SpecError{path, "'" + to_string(c) +
+                               "' has no aggressor/victim cell pair in scope at this geometry"};
+  if (count <= kMaxClassFaults) return std::nullopt;
+  const std::string limit = std::to_string(kMaxClassFaults);
+  if (c.sample != 0)
+    return SpecError{path, "sample of " + std::to_string(c.sample) + " faults exceeds the " +
+                               limit + "-fault limit per class"};
+  return SpecError{path, "exhaustive '" + to_string(c) + "' is " +
+                             (count == UINT64_MAX ? std::string("over 2^64")
+                                                  : std::to_string(count)) +
+                             " faults at this geometry, over the " + limit +
+                             "-fault limit per class; sample it instead (e.g. '" +
+                             to_string(c) + "@4096')"};
+}
+
 MarchTest resolve_march(const CampaignSpec& spec) {
   if (spec.march_ops.empty()) {
     try {
@@ -400,8 +468,9 @@ std::string march_display(const CampaignSpec& spec) {
 }
 
 std::string_view engine_revision() {
-  // r6: the PR 5 scheduler generation (repack + settle-exit + collapsing,
-  // all verdict-identical to dense).  Bump on any verdict-affecting change.
+  // r6: the survivor-repacking generation (repack + settle-exit +
+  // collapsing, all verdict-identical to the scalar oracle).  Bump on any
+  // verdict-affecting change.
   return "twm-engine-r6";
 }
 
@@ -472,7 +541,6 @@ JsonValue spec_to_value(const CampaignSpec& s) {
   run.set("backend", JsonValue::string(to_string(s.backend)));
   run.set("threads", JsonValue::number(s.threads));
   run.set("simd", JsonValue::string(simd::to_string(s.simd)));
-  run.set("schedule", JsonValue::string(to_string(s.schedule)));
   run.set("collapse", JsonValue::boolean(s.collapse));
   // regions = 1 is the implicit default; omitting it keeps every pre-region
   // serialization (and the golden-serialization test) byte-identical.
@@ -608,17 +676,11 @@ class SpecReader {
           if (r)
             s.simd = *r;
           else
-            fail("run.simd",
-                 "must be \"auto\", \"64\", \"256\", \"512\" or \"tiled[:4096|:32768]\"");
+            fail("run.simd", simd->is_string() ? simd_spelling_error(simd->as_string())
+                                               : "must be a string (auto|64|256|512)");
         }
-        if (const JsonValue* schedule = run->find("schedule")) {
-          const auto m = schedule->is_string() ? parse_schedule(schedule->as_string())
-                                               : std::nullopt;
-          if (m)
-            s.schedule = *m;
-          else
-            fail("run.schedule", "must be \"dense\" or \"repack\"");
-        }
+        if (const JsonValue* schedule = run->find("schedule"))
+          if (auto why = legacy_schedule_error(*schedule)) fail("run.schedule", *why);
         if (const JsonValue* collapse = run->find("collapse")) {
           if (collapse->is_bool())
             s.collapse = collapse->as_bool();

@@ -35,6 +35,8 @@
 
 namespace twm::api {
 
+class JsonValue;  // api/json.h
+
 // One validation finding: the dotted path of the offending field (JSON
 // grammar coordinates, e.g. "memory.words", "schemes[2]", "run.threads")
 // and a human-readable message.
@@ -113,15 +115,13 @@ struct CampaignSpec {
   CoverageBackend backend = CoverageBackend::Packed;
   unsigned threads = 1;
   simd::Request simd = simd::Request::Auto;
-  // Fault-universe scheduling: "repack" (default — survivor repacking,
-  // mid-session settle-exit, structural collapsing) or "dense" (static
-  // batches, the byte-identical debug/reference scheduler).
-  ScheduleMode schedule = ScheduleMode::Repack;
-  // Structural fault collapsing (repack only); off isolates the
-  // repacking/settle-exit win for differential attribution.
+  // Structural fault collapsing; off simulates every fault on its own (the
+  // independent oracle differential tests compare against).  A legacy
+  // "schedule": "repack" member is accepted and ignored on parse; the
+  // removed "dense" scheduler is a SpecError at run.schedule.
   bool collapse = true;
   // Address-region sharding (power of two, <= words; 1 = off).  Execution-
-  // transparent like schedule/collapse: verdicts, records and cache
+  // transparent like collapse: verdicts, records and cache
   // identities are unchanged — only the working-set bound and the
   // checkpoint grain move.  Serialized only when != 1.
   unsigned regions = 1;
@@ -135,14 +135,33 @@ struct CampaignSpec {
   std::uint64_t deadline_ms = 0;
 
   CoverageOptions options() const {
-    return {backend, threads, simd, schedule, collapse, regions};
+    return {backend, threads, simd, collapse, regions};
   }
 
   friend bool operator==(const CampaignSpec&, const CampaignSpec&) = default;
 };
 
+// Largest fault list one class selector may denote.  Exhaustive coupling
+// and decoder classes grow with the square of the cell count (cfid on a
+// 4096 x 8 memory is 4.3G faults); a selector past this bound is rejected
+// up front instead of exhausting the host while its list is built.
+inline constexpr std::uint64_t kMaxClassFaults = std::uint64_t{1} << 24;
+
+// Number of faults build_fault_list(c, words, width) returns, in closed
+// form without enumerating them (saturates at UINT64_MAX; 0 for a sampled
+// coupling class whose scope has no cell pair).
+std::uint64_t class_fault_count(const ClassSel& c, std::size_t words, unsigned width);
+
+// The SpecError for a class selector whose fault list exceeds
+// kMaxClassFaults at this geometry — or, sampled, cannot be drawn at all
+// (a coupling scope with no cell pair) — else nullopt; `path` names the
+// selector ("classes[2]").  Shared by every spec that carries selectors.
+std::optional<SpecError> check_class_size(const ClassSel& c, std::size_t words, unsigned width,
+                                          const std::string& path);
+
 // Field-by-field validation; empty result means the spec is runnable on
-// this host (forced SIMD widths are checked against the CPU).
+// this host (forced SIMD widths are checked against the CPU, class
+// selectors against kMaxClassFaults).
 std::vector<SpecError> validate(const CampaignSpec& spec);
 
 // Throws SpecValidationError when validate() is non-empty.
@@ -157,8 +176,14 @@ void require_valid(const CampaignSpec& spec);
 
 std::optional<CoverageBackend> parse_backend(std::string_view s);
 
-// "dense" | "repack" (to_string(ScheduleMode) is its inverse).
-std::optional<ScheduleMode> parse_schedule(std::string_view s);
+// The legacy run.schedule member: "repack" (the only scheduler) parses to
+// nullopt — nothing to report — and anything else to the message that
+// says why it is refused.  The campaign and explore spec readers share it.
+std::optional<std::string> legacy_schedule_error(const JsonValue& schedule);
+
+// Message for a run.simd / --simd spelling simd::parse_request refused:
+// the removed tiled widths say so, anything else is an unknown width.
+std::string simd_spelling_error(std::string_view spelling);
 
 // "on" | "off" — the canonical spelling of boolean flags (--collapse) on
 // every flag surface; nullopt on anything else.
@@ -220,8 +245,8 @@ std::vector<Fault> build_fault_list(const ClassSel& c, std::size_t words, unsign
 
 // Folded into every cell identity; bump whenever a change can alter ANY
 // verdict (fault semantics, scheme sessions, march library, fault-list
-// generators).  Pure perf/scheduling work keeps the revision — dense and
-// repack, scalar and packed, every SIMD width are verdict-identical by
+// generators).  Pure perf/scheduling work keeps the revision — scalar and
+// packed, every SIMD width, collapsing on and off are verdict-identical by
 // construction, so cached cells are shared across all of them.
 std::string_view engine_revision();
 
@@ -260,7 +285,6 @@ CampaignSpec spec_from_json(const std::string& text);
 
 // Same grammar, from an already-parsed document node (the service protocol
 // embeds specs inside request frames and parses the frame once).
-class JsonValue;
 CampaignSpec spec_from_json_value(const JsonValue& v);
 
 // Accepts either a single spec object or a batch array [spec, spec, ...].

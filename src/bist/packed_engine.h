@@ -418,9 +418,12 @@ class PackedMarchRunnerT {
       if (elem.ops.empty()) continue;
       // Software-pipelined address loop: the generator runs one address
       // ahead of the ops, and the NEXT address's cell span is prefetched
-      // while the CURRENT address's ops execute — with tile-sized lane
-      // blocks (memsim/lane_tile.h) each span is KiBs, so starting the
-      // stream an op early hides most of its memory latency.
+      // while the CURRENT address's ops execute.  A packed word spans
+      // width x sizeof(Block) bytes — eight cache lines for an 8-bit word
+      // of 512-lane blocks — and descending elements walk against the
+      // hardware streamer, so the hint starts that span early.  Its gain
+      // at lane-block widths is unmeasured; on non-packed pages it is one
+      // early-out branch per address.
       AddressGen gen(elem.order, mem_.num_words());
       std::size_t addr = gen.current();
       for (;;) {

@@ -266,25 +266,11 @@ int cmd_simd(const Options& o, std::ostream& out) {
       out << "{\"width\":" << simd::lanes(w)
           << ",\"supported\":" << (simd::supported(w) ? "true" : "false") << "}";
     }
-    // Tiled widths separately: their run.simd spelling is a string
-    // ("tiled:4096"), not the numeric width, and they are dispatchable on
-    // every CPU (the inner block is cpuid-selected at dispatch).
-    out << "],\"tiled\":[";
-    first = true;
-    for (simd::Width w : simd::kTiledWidths) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"width\":\"" << simd::to_string(w) << "\",\"lanes\":" << simd::lanes(w)
-          << ",\"supported\":" << (simd::supported(w) ? "true" : "false") << "}";
-    }
     out << "],\"best\":" << simd::lanes(simd::best_width()) << "}\n";
     return 0;
   }
   Table t({"width", "lanes", "supported"});
   for (simd::Width w : simd::kAllWidths)
-    t.add_row({simd::to_string(w), std::to_string(simd::lanes(w)),
-               simd::supported(w) ? "yes" : "no"});
-  for (simd::Width w : simd::kTiledWidths)
     t.add_row({simd::to_string(w), std::to_string(simd::lanes(w)),
                simd::supported(w) ? "yes" : "no"});
   t.print(out);
@@ -325,20 +311,17 @@ std::optional<api::CampaignSpec> spec_from_flags(const Options& o, std::ostream&
   if (auto it = o.flags.find("simd"); it != o.flags.end()) {
     const auto req = simd::parse_request(it->second);
     if (!req) {
-      err << "error: unknown simd width '" << it->second
-          << "' (want auto|64|256|512|tiled[:4096|:32768])\n";
+      err << "error: " << api::simd_spelling_error(it->second) << "\n";
       return std::nullopt;
     }
     spec.simd = *req;
   }
 
-  if (auto it = o.flags.find("schedule"); it != o.flags.end()) {
-    const auto mode = api::parse_schedule(it->second);
-    if (!mode) {
-      err << "error: unknown schedule '" << it->second << "' (want dense|repack)\n";
-      return std::nullopt;
-    }
-    spec.schedule = *mode;
+  // Unknown flags are otherwise ignored; a script still passing the
+  // removed scheduler switch must not silently get a different run.
+  if (o.flags.count("schedule")) {
+    err << "error: --schedule was removed (survivor repacking is the only scheduler)\n";
+    return std::nullopt;
   }
 
   if (auto it = o.flags.find("collapse"); it != o.flags.end()) {
@@ -405,8 +388,7 @@ int cmd_coverage(const Options& o, std::ostream& out, std::ostream& err) {
   if (o.positional.size() < 2) {
     err << "usage: coverage <march> --width B --words N [--scheme S|all] [--classes C,..]\n"
            "                [--seeds 0,1,2] [--backend scalar|packed] [--threads T]\n"
-           "                [--simd auto|64|256|512|tiled[:N]] [--schedule dense|repack]\n"
-           "                [--collapse on|off] [--regions N]\n";
+           "                [--simd auto|64|256|512] [--collapse on|off] [--regions N]\n";
     return 1;
   }
   const auto spec = spec_from_flags(o, err);

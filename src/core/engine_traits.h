@@ -10,13 +10,10 @@
 //   PackedEngineT<Block>  Verdict = Block    lane k of every value/verdict
 //                                            belongs to universe k; Block is
 //                                            std::uint64_t (64 lanes — the
-//                                            PackedEngine alias), a wide
+//                                            PackedEngine alias) or a wide
 //                                            LaneBlock<K> (256/512 lanes,
-//                                            compiled per width), or a
-//                                            LaneTile<Inner, T> (4096/32768
-//                                            lanes, memsim/lane_tile.h) —
-//                                            selected at runtime via
-//                                            core/simd.h
+//                                            compiled per width) — selected
+//                                            at runtime via core/simd.h
 //
 // Each trait struct maps the shared vocabulary — verdict algebra, fault
 // injection, the engine entry points, and the word/mask/signature
@@ -41,13 +38,12 @@
 //     universes nor mask the golden lane.
 //   * Brake monotonicity: SessionBrake::should_stop answers "are all used
 //     lanes settled"; once true for a verdict v it must stay true for any
-//     v' ⊇ v.  The settle-exit schedule relies on this to cut sessions
+//     v' ⊇ v.  The scheduler's settle-exit relies on this to cut sessions
 //     short without changing any verdict bit that the full run would set.
 //   * Differential proof: a backend is correct when its VerdictMatrix is
 //     byte-identical to ScalarEngine's across every scheme — that check
-//     lives in tests/coverage_backend_test.cpp and
-//     tests/tiled_engine_test.cpp and is the required template for
-//     qualifying any new backend.
+//     lives in tests/uniform_path_test.cpp and tests/scheduler_test.cpp
+//     and is the required template for qualifying any new backend.
 #ifndef TWM_CORE_ENGINE_TRAITS_H
 #define TWM_CORE_ENGINE_TRAITS_H
 

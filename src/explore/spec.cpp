@@ -28,6 +28,8 @@ std::vector<SpecError> validate(const ExploreSpec& spec) {
       const ObjectiveClass& oc = spec.objective[i];
       const std::string path = "objective.classes[" + std::to_string(i) + "]";
       if (oc.floor_pct > 100) errors.push_back({path + ".floor", "must be 0..100"});
+      if (auto e = api::check_class_size(oc.sel, spec.words, spec.width, path))
+        errors.push_back(std::move(*e));
       for (std::size_t j = 0; j < i; ++j)
         if (spec.objective[j].sel == oc.sel) {
           errors.push_back({path, "duplicate fault class '" + to_string(oc.sel) + "'"});
@@ -125,7 +127,6 @@ JsonValue spec_to_value(const ExploreSpec& s) {
   run.set("backend", JsonValue::string(to_string(s.backend)));
   run.set("threads", JsonValue::number(s.threads));
   run.set("simd", JsonValue::string(simd::to_string(s.simd)));
-  run.set("schedule", JsonValue::string(to_string(s.schedule)));
   run.set("collapse", JsonValue::boolean(s.collapse));
 
   JsonValue v = JsonValue::object();
@@ -327,17 +328,11 @@ class ExploreReader {
       if (r)
         s.simd = *r;
       else
-        fail("run.simd",
-             "must be \"auto\", \"64\", \"256\", \"512\" or \"tiled[:4096|:32768]\"");
+        fail("run.simd", simd->is_string() ? api::simd_spelling_error(simd->as_string())
+                                           : "must be a string (auto|64|256|512)");
     }
-    if (const JsonValue* schedule = v.find("schedule")) {
-      const auto m =
-          schedule->is_string() ? api::parse_schedule(schedule->as_string()) : std::nullopt;
-      if (m)
-        s.schedule = *m;
-      else
-        fail("run.schedule", "must be \"dense\" or \"repack\"");
-    }
+    if (const JsonValue* schedule = v.find("schedule"))
+      if (auto why = api::legacy_schedule_error(*schedule)) fail("run.schedule", *why);
     if (const JsonValue* collapse = v.find("collapse")) {
       if (collapse->is_bool())
         s.collapse = collapse->as_bool();

@@ -355,8 +355,9 @@ class PackedMemoryT {
 
   // Prefetch hint for the cell span of `addr`.  The march sweep issues
   // this one address ahead of the operation it is about to execute
-  // (bist/packed_engine.h), so a tile-sized lane-block span starts
-  // streaming toward L1 while the current address's ops still run.  Only
+  // (bist/packed_engine.h), so a multi-line lane-block span (width x
+  // sizeof(Block) bytes) starts streaming toward L1 while the current
+  // address's ops still run.  Only
   // the head of the span is touched — the hardware streamer follows the
   // sequential access; the hint's job is to start the stream early.
   // Non-packed pages need no hint (a scalar word is a few resident limbs).

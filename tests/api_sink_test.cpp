@@ -1,13 +1,13 @@
 // Tests for the streaming ResultSink surface: per-unit records arrive
 // during the run, cooperative cancellation truncates the stream to a
 // prefix, the shipped sinks emit well-formed output, and spec-driven
-// campaigns are verdict-identical to the legacy CoverageEvaluator facade.
+// campaigns are verdict-identical to the scalar oracle.
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <sstream>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 #include "analysis/report.h"
 #include "api/json.h"
 #include "api/runner.h"
@@ -196,9 +196,10 @@ TEST(ResultSinkTest, TableSinkPrintsHeaderAndFooter) {
   EXPECT_NE(out.str().find("faults/s"), std::string::npos);
 }
 
-// The redesign's core promise: a spec-driven campaign is verdict-identical
-// to the legacy CoverageEvaluator facade it replaces.
-TEST(ResultSinkTest, SpecCampaignMatchesLegacyEvaluator) {
+// The redesign's core promise: a spec-driven campaign (packed, collapsing,
+// two threads) is verdict-identical to the scalar oracle driven directly
+// through CampaignRunner with collapsing off.
+TEST(ResultSinkTest, SpecCampaignMatchesScalarOracle) {
   CampaignSpec spec;
   spec.words = 4;
   spec.width = 4;
@@ -212,13 +213,14 @@ TEST(ResultSinkTest, SpecCampaignMatchesLegacyEvaluator) {
   const CampaignSummary summary = run_campaign(spec);
   ASSERT_EQ(summary.cells.size(), 6u);
 
-  const CoverageEvaluator legacy(spec.words, spec.width);
+  const CampaignRunner oracle(spec.words, spec.width,
+                              {CoverageBackend::Scalar, 1, simd::Request::Auto, false});
   const MarchTest march = march_by_name(spec.march);
   std::size_t i = 0;
   for (SchemeKind k : spec.schemes) {
     for (const ClassSel& cls : spec.classes) {
       const auto faults = build_fault_list(cls, spec.words, spec.width);
-      const CoverageOutcome want = legacy.evaluate(k, march, faults, spec.seeds);
+      const CoverageOutcome want = oracle.evaluate(k, march, faults, spec.seeds);
       const CoverageOutcome& got = summary.cells[i++].outcome;
       EXPECT_EQ(got.total, want.total) << scheme_id(k) << "/" << to_string(cls);
       EXPECT_EQ(got.detected_all, want.detected_all) << scheme_id(k) << "/" << to_string(cls);

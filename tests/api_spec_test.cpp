@@ -153,14 +153,16 @@ TEST(SpecEnums, BackendRoundTrips) {
 
 TEST(SpecEnums, SimdRequestRoundTrips) {
   for (simd::Request r : {simd::Request::Auto, simd::Request::W64, simd::Request::W256,
-                          simd::Request::W512, simd::Request::Tiled, simd::Request::Tiled4096,
-                          simd::Request::Tiled32768}) {
+                          simd::Request::W512}) {
     const auto parsed = simd::parse_request(simd::to_string(r));
     ASSERT_TRUE(parsed.has_value()) << simd::to_string(r);
     EXPECT_EQ(*parsed, r);
   }
   EXPECT_FALSE(simd::parse_request("128").has_value());
   EXPECT_FALSE(simd::parse_request("AUTO").has_value());
+  // The tiled widths were removed with their backend.
+  EXPECT_FALSE(simd::parse_request("tiled").has_value());
+  EXPECT_FALSE(simd::parse_request("tiled:4096").has_value());
 }
 
 TEST(SpecEnums, SchemeIdRoundTrips) {
@@ -244,7 +246,6 @@ TEST(SpecJson, RoundTripEverySchemeClassBackendAndBigSeeds) {
   s.backend = CoverageBackend::Scalar;
   s.threads = 16;
   s.simd = simd::Request::W256;
-  s.schedule = ScheduleMode::Dense;
   s.collapse = false;
   EXPECT_EQ(spec_from_json(to_json(s)), s);
 }
@@ -270,20 +271,18 @@ TEST(SpecJson, GoldenSerialization) {
       "\"classes\":[\"saf\"],"
       "\"seeds\":[0,1],"
       "\"run\":{\"backend\":\"packed\",\"threads\":2,\"simd\":\"auto\","
-      "\"schedule\":\"repack\",\"collapse\":true}}";
+      "\"collapse\":true}}";
   EXPECT_EQ(to_json(s, /*pretty=*/false), expected);
 }
 
-TEST(SpecJson, ScheduleAndCollapseRoundTripAndReject) {
+TEST(SpecJson, CollapseRoundTripsAndRejects) {
   auto s = valid_spec();
-  s.schedule = ScheduleMode::Dense;
   s.collapse = false;
   EXPECT_EQ(spec_from_json(to_json(s)), s);
-  // Omitting the fields keeps the defaults (older spec files stay valid).
+  // Omitting the field keeps the default (older spec files stay valid).
   const CampaignSpec parsed = spec_from_json(
       R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
           "schemes":["twm"],"classes":["saf"],"seeds":[0]})");
-  EXPECT_EQ(parsed.schedule, ScheduleMode::Repack);
   EXPECT_TRUE(parsed.collapse);
   // Bad spellings name their paths.
   try {
@@ -296,10 +295,47 @@ TEST(SpecJson, ScheduleAndCollapseRoundTripAndReject) {
     EXPECT_TRUE(has_error_at(e.errors(), "run.schedule"));
     EXPECT_TRUE(has_error_at(e.errors(), "run.collapse"));
   }
-  // parse(to_string(x)) == x for the schedule enum.
-  for (ScheduleMode m : {ScheduleMode::Dense, ScheduleMode::Repack})
-    EXPECT_EQ(parse_schedule(twm::to_string(m)), m);
-  EXPECT_FALSE(parse_schedule("static").has_value());
+}
+
+// Every spec an earlier `twm_cli spec`, service client or checkpoint wrote
+// carries "schedule":"repack": it still parses, to the same spec as one
+// without it, and re-serializes without the member.
+TEST(SpecJson, LegacyRepackScheduleIsANoOp) {
+  const std::string body =
+      R"("name":"x","memory":{"words":2,"width":2},"march":"March C-",
+         "schemes":["twm"],"classes":["saf"],"seeds":[0],)";
+  const CampaignSpec legacy = spec_from_json(
+      "{" + body + R"("run":{"backend":"packed","schedule":"repack","collapse":true}})");
+  const CampaignSpec plain =
+      spec_from_json("{" + body + R"("run":{"backend":"packed","collapse":true}})");
+  EXPECT_EQ(legacy, plain);
+  EXPECT_EQ(to_json(legacy, false).find("schedule"), std::string::npos);
+}
+
+// The removed dense scheduler and tiled backend are structured errors at
+// their run.* paths that say so, not silently different runs.
+TEST(SpecJson, RemovedSchedulerAndSimdModesAreRejected) {
+  const std::string body =
+      R"({"name":"x","memory":{"words":2,"width":2},"march":"March C-",
+          "schemes":["twm"],"classes":["saf"],"seeds":[0],)";
+  try {
+    spec_from_json(body + R"("run":{"schedule":"dense"}})");
+    FAIL() << "expected SpecValidationError";
+  } catch (const SpecValidationError& e) {
+    ASSERT_TRUE(has_error_at(e.errors(), "run.schedule"));
+    EXPECT_NE(e.errors()[0].message.find("dense scheduler was removed"), std::string::npos)
+        << e.errors()[0].message;
+  }
+  for (const char* simd : {"tiled", "tiled:4096", "tiled:32768"}) {
+    try {
+      spec_from_json(body + R"("run":{"simd":")" + simd + R"("}})");
+      FAIL() << "expected SpecValidationError for " << simd;
+    } catch (const SpecValidationError& e) {
+      ASSERT_TRUE(has_error_at(e.errors(), "run.simd")) << simd;
+      EXPECT_NE(e.errors()[0].message.find("removed with the tiled backend"), std::string::npos)
+          << e.errors()[0].message;
+    }
+  }
 }
 
 TEST(SpecJson, StructuralErrorsNameTheirPaths) {
@@ -418,6 +454,71 @@ TEST(SpecClasses, BuildFaultListMatchesGenerators) {
   EXPECT_FALSE(intra.empty());
 }
 
+// The closed-form count validate() bounds selectors with is exactly the
+// size of the list build_fault_list materializes, for every kind, scope
+// and sample at small geometries (non-power-of-two ones included).
+TEST(SpecClasses, ClassFaultCountMatchesBuiltLists) {
+  for (std::size_t words : {1u, 2u, 3u, 5u})
+    for (unsigned width : {1u, 2u, 3u, 4u})
+      for (ClassKind kind : kAllClassKinds)
+        for (CfScope scope : {CfScope::Both, CfScope::InterWord, CfScope::IntraWord})
+          for (std::uint32_t sample : {0u, 3u, 1000u}) {
+            const ClassSel c{kind, scope, sample};
+            if (!c.is_coupling() && scope != CfScope::Both) continue;
+            const std::uint64_t count = class_fault_count(c, words, width);
+            if (count == 0 && sample != 0) continue;  // undrawable; validate() rejects it
+            EXPECT_EQ(count, build_fault_list(c, words, width).size())
+                << to_string(c) << " at " << words << "x" << width;
+          }
+}
+
+// An exhaustive class on a modest memory can denote billions of faults
+// (cfid on 4096 x 8 is 4.3G); validate() alone rejects it at its selector,
+// in closed form, and points to sampling — the sampled spelling passes.
+TEST(SpecValidate, OversizedExhaustiveClassIsRejectedBeforeEnumeration) {
+  CampaignSpec s = valid_spec();
+  s.words = 4096;
+  s.width = 8;
+  s.classes = {{ClassKind::Saf, CfScope::Both}, {ClassKind::CFid, CfScope::Both}};
+  const auto errors = validate(s);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].path, "classes[1]");
+  EXPECT_NE(errors[0].message.find("4294836224 faults"), std::string::npos) << errors[0].message;
+  EXPECT_NE(errors[0].message.find("cfid@"), std::string::npos) << errors[0].message;
+  s.classes[1].sample = 4096;
+  EXPECT_TRUE(validate(s).empty());
+  // The bound is inclusive, and counts saturate instead of wrapping at
+  // geometries whose pair count overflows 64 bits.
+  s.classes = {{ClassKind::Af, CfScope::Both}};
+  s.words = 4096;  // 4096^2 == kMaxClassFaults
+  EXPECT_TRUE(validate(s).empty());
+  s.words = 4097;
+  EXPECT_TRUE(has_error_at(validate(s), "classes[0]"));
+  s.words = std::size_t{1} << 40;
+  s.classes = {{ClassKind::CFin, CfScope::Both}};
+  EXPECT_EQ(class_fault_count(s.classes[0], s.words, 64), UINT64_MAX);
+  EXPECT_TRUE(has_error_at(validate(s), "classes[0]"));
+}
+
+TEST(SpecValidate, SampledClassesAreBoundedAndMustBeDrawable) {
+  CampaignSpec s = valid_spec();
+  s.words = 1u << 20;
+  s.width = 8;
+  s.classes = {{ClassKind::CFid, CfScope::InterWord, (1u << 24) + 1}};
+  EXPECT_TRUE(has_error_at(validate(s), "classes[0]"));
+  // A coupling scope with no cell pair: one word has no inter-word pair,
+  // one bit per word no intra-word pair.
+  s.words = 1;
+  s.classes = {{ClassKind::CFid, CfScope::InterWord, 10}};
+  EXPECT_TRUE(has_error_at(validate(s), "classes[0]"));
+  s.words = 8;
+  s.width = 1;
+  s.classes = {{ClassKind::CFst, CfScope::IntraWord, 10}};
+  EXPECT_TRUE(has_error_at(validate(s), "classes[0]"));
+  s.classes = {{ClassKind::CFst, CfScope::InterWord, 10}};
+  EXPECT_TRUE(validate(s).empty());
+}
+
 // ---- parser hardening -----------------------------------------------------
 
 TEST(SpecJson, NestingBombThrowsInsteadOfRecursingOffTheStack) {
@@ -481,7 +582,6 @@ TEST(SpecContent, IdentityCoversEveryVerdictRelevantFieldAndNothingElse) {
   changed.backend = CoverageBackend::Scalar;
   changed.threads = 7;
   changed.simd = simd::Request::W64;
-  changed.schedule = ScheduleMode::Dense;
   changed.collapse = false;
   EXPECT_EQ(cell_key(changed, base.schemes[0], base.classes[0]), key);
 }

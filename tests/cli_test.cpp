@@ -317,34 +317,58 @@ TEST(Cli, CoverageRejectsUnknownSimdWidth) {
   EXPECT_NE(r.err.find("auto|64|256|512"), std::string::npos);
 }
 
-TEST(Cli, CoverageRejectsUnknownScheduleAndCollapse) {
-  const auto bad_schedule =
-      cli({"coverage", "March C-", "--width", "4", "--words", "2", "--schedule", "sparse"});
-  EXPECT_EQ(bad_schedule.rc, 1);
-  EXPECT_NE(bad_schedule.err.find("unknown schedule 'sparse'"), std::string::npos);
-  EXPECT_NE(bad_schedule.err.find("dense|repack"), std::string::npos);
+TEST(Cli, CoverageRejectsRemovedModesAndBadCollapse) {
+  // The dense scheduler and its switch are gone: any --schedule is an
+  // error, never a silently different run.
+  for (const char* mode : {"dense", "repack", "sparse"}) {
+    const auto r =
+        cli({"coverage", "March C-", "--width", "4", "--words", "2", "--schedule", mode});
+    EXPECT_EQ(r.rc, 1) << mode;
+    EXPECT_NE(r.err.find("--schedule was removed"), std::string::npos) << r.err;
+  }
+  for (const char* simd : {"tiled", "tiled:4096"}) {
+    const auto r = cli({"coverage", "March C-", "--width", "4", "--words", "2", "--simd", simd});
+    EXPECT_EQ(r.rc, 1) << simd;
+    EXPECT_NE(r.err.find("removed with the tiled backend"), std::string::npos) << r.err;
+  }
   const auto bad_collapse =
       cli({"coverage", "March C-", "--width", "4", "--words", "2", "--collapse", "maybe"});
   EXPECT_EQ(bad_collapse.rc, 1);
   EXPECT_NE(bad_collapse.err.find("--collapse expects on|off"), std::string::npos);
 }
 
-TEST(Cli, CoverageScheduleModesReportIdenticalTables) {
-  const std::vector<std::string> base{"coverage", "March C-", "--width", "4",
-                                     "--words",   "4",        "--scheme", "all"};
-  auto with_schedule = [&](const char* mode, const char* collapse) {
+// `run` on spec files: a legacy "schedule":"repack" runs as before, the
+// removed dense scheduler and tiled widths fail at their run.* paths.
+TEST(Cli, RunAcceptsLegacyRepackAndRejectsRemovedModes) {
+  const std::string head =
+      R"({"name":"x","memory":{"words":2,"width":4},"march":"March C-",
+          "schemes":["twm"],"classes":["saf"],"seeds":[0],"run":)";
+  const auto legacy = cli({"run", write_temp("legacy_repack.json",
+                                             head + R"({"schedule":"repack"}})")});
+  EXPECT_EQ(legacy.rc, 0) << legacy.err;
+  EXPECT_NE(legacy.out.find("| SAF"), std::string::npos);
+  const auto dense =
+      cli({"run", write_temp("dense.json", head + R"({"schedule":"dense"}})")});
+  EXPECT_EQ(dense.rc, 1);
+  EXPECT_NE(dense.err.find("run.schedule"), std::string::npos) << dense.err;
+  const auto tiled =
+      cli({"run", write_temp("tiled.json", head + R"({"simd":"tiled:4096"}})")});
+  EXPECT_EQ(tiled.rc, 1);
+  EXPECT_NE(tiled.err.find("run.simd"), std::string::npos) << tiled.err;
+}
+
+// Every scheme's coverage cells on the packed backend, at every supported
+// width with collapsing on and off, equal the scalar oracle's with
+// collapsing off; only the header and the faults/s footer may differ.
+TEST(Cli, CoveragePackedTablesMatchTheScalarOracle) {
+  const std::vector<std::string> base{"coverage", "March C-", "--width",  "4",
+                                      "--words",  "4",        "--scheme", "all",
+                                      "--seeds",  "0,1,2",    "--threads", "2"};
+  auto with = [&](std::vector<std::string> extra) {
     auto args = base;
-    args.insert(args.end(), {"--schedule", mode, "--collapse", collapse});
+    args.insert(args.end(), extra.begin(), extra.end());
     return cli(args);
   };
-  const auto dense = with_schedule("dense", "off");
-  const auto repack = with_schedule("repack", "on");
-  EXPECT_EQ(dense.rc, 0);
-  EXPECT_EQ(repack.rc, 0);
-  EXPECT_NE(dense.out.find("schedule=dense"), std::string::npos);
-  EXPECT_NE(repack.out.find("schedule=repack"), std::string::npos);
-  // The coverage cells (detected/total) must be identical; only the header
-  // and the faults/s footer may differ.
   auto cells = [](const std::string& out) {
     std::vector<std::string> v;
     std::size_t pos = 0;
@@ -358,8 +382,20 @@ TEST(Cli, CoverageScheduleModesReportIdenticalTables) {
     }
     return v;
   };
-  EXPECT_FALSE(cells(dense.out).empty());
-  EXPECT_EQ(cells(dense.out), cells(repack.out));
+  const auto oracle = with({"--backend", "scalar", "--collapse", "off"});
+  ASSERT_EQ(oracle.rc, 0) << oracle.err;
+  EXPECT_NE(oracle.out.find("no collapse"), std::string::npos);
+  ASSERT_FALSE(cells(oracle.out).empty());
+  for (const simd::Width w : simd::kAllWidths) {
+    if (!simd::supported(w)) continue;
+    for (const char* collapse : {"on", "off"}) {
+      const auto packed =
+          with({"--backend", "packed", "--simd", simd::to_string(w), "--collapse", collapse});
+      ASSERT_EQ(packed.rc, 0) << packed.err;
+      EXPECT_EQ(cells(packed.out), cells(oracle.out))
+          << "--simd " << simd::to_string(w) << " --collapse " << collapse;
+    }
+  }
 }
 
 TEST(Cli, SimdJsonEmitsMachineReadableProbe) {

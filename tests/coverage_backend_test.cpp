@@ -5,7 +5,7 @@
 // what keeps the batched fast path differentially checkable.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.h"
+#include "analysis/campaign.h"
 #include "analysis/fault_list.h"
 #include "core/simd.h"
 #include "march/library.h"
@@ -41,7 +41,9 @@ std::vector<Fault> every_fault() {
 
 class CoverageBackendFixture : public ::testing::Test {
  protected:
-  CoverageEvaluator eval{kWords, kWidth};
+  // The scalar single-thread oracle; runner(o) is the campaign under `o`.
+  CampaignRunner eval{kWords, kWidth};
+  static CampaignRunner runner(const CoverageOptions& o) { return {kWords, kWidth, o}; }
   MarchTest march = march_by_name("March C-");
   std::vector<Fault> faults = every_fault();
 };
@@ -57,7 +59,7 @@ TEST_F(CoverageBackendFixture, PerFaultVerdictsMatchScalarForEverySchemeAtEveryW
     const auto scalar = eval.per_fault(k, march, faults, seeds);
     for (simd::Request w : supported_widths()) {
       const auto packed =
-          eval.per_fault(k, march, faults, seeds, {CoverageBackend::Packed, 1, w});
+          runner({CoverageBackend::Packed, 1, w}).per_fault(k, march, faults, seeds);
       EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
     }
   }
@@ -73,10 +75,12 @@ TEST_F(CoverageBackendFixture, PartialBatchSmallerThanOneUnitMatchesScalar) {
   ASSERT_EQ(scalar.size(), few.size());
   for (simd::Request w : supported_widths()) {
     const auto packed =
-        eval.per_fault(SchemeKind::ProposedExact, march, few, seeds, {CoverageBackend::Packed, 1, w});
+        runner({CoverageBackend::Packed, 1, w})
+            .per_fault(SchemeKind::ProposedExact, march, few, seeds);
     EXPECT_EQ(scalar, packed) << "--simd " << simd::to_string(w);
     const auto counts =
-        eval.evaluate(SchemeKind::ProposedExact, march, few, seeds, {CoverageBackend::Packed, 1, w});
+        runner({CoverageBackend::Packed, 1, w})
+            .evaluate(SchemeKind::ProposedExact, march, few, seeds);
     EXPECT_EQ(counts.total, few.size()) << "--simd " << simd::to_string(w);
     EXPECT_LE(counts.detected_any, few.size()) << "phantom universes at --simd "
                                                << simd::to_string(w);
@@ -94,7 +98,7 @@ TEST_F(CoverageBackendFixture, DecoderFaultsAgreeAtEveryWidth) {
                        SchemeKind::TomtModel}) {
     const auto scalar = eval.per_fault(k, march, afs, seeds);
     for (simd::Request w : supported_widths()) {
-      const auto packed = eval.per_fault(k, march, afs, seeds, {CoverageBackend::Packed, 2, w});
+      const auto packed = runner({CoverageBackend::Packed, 2, w}).per_fault(k, march, afs, seeds);
       EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
     }
   }
@@ -104,7 +108,7 @@ TEST_F(CoverageBackendFixture, EvaluateCountsMatchScalarForEveryScheme) {
   const std::vector<std::uint64_t> seeds{0, 3, 9};
   for (SchemeKind k : kAllSchemes) {
     const auto scalar = eval.evaluate(k, march, faults, seeds);
-    const auto packed = eval.evaluate(k, march, faults, seeds, {CoverageBackend::Packed, 1});
+    const auto packed = runner({CoverageBackend::Packed, 1}).evaluate(k, march, faults, seeds);
     EXPECT_EQ(scalar.total, packed.total) << to_string(k);
     EXPECT_EQ(scalar.detected_all, packed.detected_all) << to_string(k);
     EXPECT_EQ(scalar.detected_any, packed.detected_any) << to_string(k);
@@ -116,18 +120,18 @@ TEST_F(CoverageBackendFixture, ThreadCountDoesNotChangeVerdicts) {
   const std::vector<std::uint64_t> seeds{0, 5};
   for (unsigned threads : {2u, 4u}) {
     const auto one =
-        eval.per_fault(SchemeKind::ProposedExact, march, faults, seeds,
-                       {CoverageBackend::Packed, 1});
+        runner({CoverageBackend::Packed, 1})
+            .per_fault(SchemeKind::ProposedExact, march, faults, seeds);
     const auto many =
-        eval.per_fault(SchemeKind::ProposedExact, march, faults, seeds,
-                       {CoverageBackend::Packed, threads});
+        runner({CoverageBackend::Packed, threads})
+            .per_fault(SchemeKind::ProposedExact, march, faults, seeds);
     EXPECT_EQ(one, many) << threads << " threads";
   }
   // The scalar backend shards across threads too.
-  const auto scalar1 = eval.per_fault(SchemeKind::TomtModel, march, faults, {0},
-                                      {CoverageBackend::Scalar, 1});
-  const auto scalar4 = eval.per_fault(SchemeKind::TomtModel, march, faults, {0},
-                                      {CoverageBackend::Scalar, 4});
+  const auto scalar1 = runner({CoverageBackend::Scalar, 1})
+                           .per_fault(SchemeKind::TomtModel, march, faults, {0});
+  const auto scalar4 = runner({CoverageBackend::Scalar, 4})
+                           .per_fault(SchemeKind::TomtModel, march, faults, {0});
   EXPECT_EQ(scalar1, scalar4);
 }
 
@@ -139,7 +143,7 @@ TEST_F(CoverageBackendFixture, BackendsAgreeOnMarchU) {
   for (SchemeKind k : {SchemeKind::NontransparentReference, SchemeKind::ProposedExact,
                        SchemeKind::ProposedMisr, SchemeKind::Scheme1Exact}) {
     const auto scalar = eval.per_fault(k, u, faults, seeds);
-    const auto packed = eval.per_fault(k, u, faults, seeds, {CoverageBackend::Packed, 2});
+    const auto packed = runner({CoverageBackend::Packed, 2}).per_fault(k, u, faults, seeds);
     EXPECT_EQ(scalar, packed) << to_string(k);
   }
 }
@@ -154,7 +158,7 @@ TEST_F(CoverageBackendFixture, RetentionFaultsAgreeUnderMarchGAtEveryWidth) {
   for (SchemeKind k : {SchemeKind::NontransparentReference, SchemeKind::ProposedExact}) {
     const auto scalar = eval.per_fault(k, g, rets, seeds);
     for (simd::Request w : supported_widths()) {
-      const auto packed = eval.per_fault(k, g, rets, seeds, {CoverageBackend::Packed, 1, w});
+      const auto packed = runner({CoverageBackend::Packed, 1, w}).per_fault(k, g, rets, seeds);
       EXPECT_EQ(scalar, packed) << to_string(k) << " at --simd " << simd::to_string(w);
     }
   }
@@ -166,14 +170,14 @@ TEST_F(CoverageBackendFixture, ForcedUnsupportedWidthThrows) {
   for (simd::Width w : simd::kAllWidths) {
     if (simd::supported(w)) continue;
     const simd::Request req = w == simd::Width::W256 ? simd::Request::W256 : simd::Request::W512;
-    EXPECT_THROW(eval.per_fault(SchemeKind::ProposedExact, march, faults, {0},
-                                {CoverageBackend::Packed, 1, req}),
+    EXPECT_THROW(runner({CoverageBackend::Packed, 1, req})
+                     .per_fault(SchemeKind::ProposedExact, march, faults, {0}),
                  std::runtime_error)
         << simd::to_string(w);
   }
   // Auto must always resolve (graceful downgrade), whatever the host is.
-  EXPECT_NO_THROW(eval.per_fault(SchemeKind::ProposedExact, march, {faults[0]}, {0},
-                                 {CoverageBackend::Packed, 1, simd::Request::Auto}));
+  EXPECT_NO_THROW(runner({CoverageBackend::Packed, 1, simd::Request::Auto})
+                      .per_fault(SchemeKind::ProposedExact, march, {faults[0]}, {0}));
 }
 
 // A fault "rests visible" when merely injecting it distorts the stored
@@ -192,8 +196,8 @@ TEST_F(CoverageBackendFixture, TheoremPerFaultEqualityAtZeroContentViaPackedBack
   const CoverageOptions packed{CoverageBackend::Packed, 2};
   const std::vector<std::uint64_t> zero_seed{0};
   const auto ref =
-      eval.per_fault(SchemeKind::NontransparentReference, march, faults, zero_seed, packed);
-  const auto prop = eval.per_fault(SchemeKind::ProposedExact, march, faults, zero_seed, packed);
+      runner(packed).per_fault(SchemeKind::NontransparentReference, march, faults, zero_seed);
+  const auto prop = runner(packed).per_fault(SchemeKind::ProposedExact, march, faults, zero_seed);
   ASSERT_EQ(ref.size(), prop.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (faults[i].cls == FaultClass::RET) continue;  // March C- has no Del
@@ -206,7 +210,7 @@ TEST_F(CoverageBackendFixture, TheoremPerFaultEqualityAtZeroContentViaPackedBack
 
 TEST_F(CoverageBackendFixture, PackedRejectsEmptySeeds) {
   EXPECT_THROW(
-      eval.evaluate(SchemeKind::ProposedExact, march, faults, {}, {CoverageBackend::Packed, 2}),
+      runner({CoverageBackend::Packed, 2}).evaluate(SchemeKind::ProposedExact, march, faults, {}),
       std::invalid_argument);
 }
 

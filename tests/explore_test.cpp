@@ -110,7 +110,6 @@ TEST(ExploreSpecJson, RoundTripsExactly) {
   s.mutation_weights[2] = 5;
   s.splice_weight = 4;
   s.backend = CoverageBackend::Scalar;
-  s.schedule = ScheduleMode::Dense;
   s.collapse = false;
   EXPECT_EQ(explore_from_json(to_json(s)), s);
 }
@@ -138,13 +137,41 @@ TEST(ExploreSpecJson, StructuralErrorsNameTheirPaths) {
   }
 }
 
+// The run block follows the campaign grammar: a legacy "schedule":"repack"
+// is a no-op, the removed dense scheduler and tiled widths are errors at
+// their paths, and an objective class too large to enumerate is refused
+// by validate() at its selector.
+TEST(ExploreSpecJson, RunBlockRejectsRemovedModesAndValidateBoundsClasses) {
+  const std::string head =
+      R"({"memory":{"words":4,"width":4},"objective":{"classes":["saf"]},"seeds":[0],"run":)";
+  EXPECT_EQ(explore_from_json(head + R"({"schedule":"repack"}})"),
+            explore_from_json(head + "{}}"));
+  for (const auto& [run, path] :
+       {std::pair<std::string, std::string>{R"({"schedule":"dense"})", "run.schedule"},
+        {R"({"simd":"tiled:4096"})", "run.simd"}}) {
+    try {
+      explore_from_json(head + run + "}");
+      FAIL() << "expected SpecValidationError for " << run;
+    } catch (const api::SpecValidationError& e) {
+      EXPECT_TRUE(has_error_at(e.errors(), path)) << run;
+    }
+  }
+  auto s = small_spec();
+  s.words = 4096;
+  s.width = 8;
+  s.objective = {{{api::ClassKind::Saf, CfScope::Both}, 100},
+                 {{api::ClassKind::CFid, CfScope::Both}, 100}};
+  EXPECT_TRUE(has_error_at(validate(s), "objective.classes[1]"));
+  s.objective[1].sel.sample = 4096;
+  EXPECT_TRUE(validate(s).empty());
+}
+
 TEST(ExploreSpecJson, IdentityExcludesRoundsAndRun) {
   auto a = small_spec();
   auto b = small_spec();
   b.rounds = 99;
   b.threads = 16;
   b.backend = CoverageBackend::Scalar;
-  b.schedule = ScheduleMode::Dense;
   b.collapse = false;
   EXPECT_EQ(explore_identity_json(a), explore_identity_json(b));
   b = small_spec();

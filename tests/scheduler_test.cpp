@@ -1,14 +1,19 @@
-// Tests for the survivor-repacked lane scheduler (analysis/campaign_exec.h
-// run_campaign_engine_repack + analysis/campaign.cpp collapsing dispatch):
+// Tests for the survivor-repacking lane scheduler (analysis/campaign_exec.h
+// run_campaign_repack + analysis/campaign.cpp collapsing dispatch):
 //
-//   * the hard invariant — byte-identical VerdictMatrix between the dense
-//     and repack schedulers, for every scheme, at 64 and (when the CPU
-//     supports it) 256 lanes, with collapsing on and off,
+//   * the hard invariant — a byte-identical VerdictMatrix between an
+//     oracle that simulates every (fault, seed) pair on its own (one
+//     scalar Memory + MarchRunner session, outside any scheduler) and
+//     every campaign the scheduler runs: scalar and packed backends, for
+//     every scheme, at every supported lane-block width (64/256/512), with
+//     collapsing on and off,
 //   * structural fault collapsing (analysis/fault_list.h collapse_faults):
 //     bucket structure of each rule, expansion == uncollapsed run,
 //   * per-lane retire + reinject on a live PackedMemory batch,
+//   * partial units far smaller than one lane block,
 //   * the scheduler's forward-progress counters (settle-exit actually
-//     skips march elements; collapsing actually simulates fewer faults).
+//     skips march elements; collapsing actually simulates fewer faults;
+//     seed rounds rebuild batches without allocating pages).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,9 +33,11 @@ namespace {
 constexpr std::size_t kWords = 4;
 constexpr unsigned kWidth = 4;
 
-std::vector<simd::Request> schedulable_widths() {
+// The lane-block widths this CPU executes (always includes 64).
+std::vector<simd::Request> supported_widths() {
   std::vector<simd::Request> widths{simd::Request::W64};
   if (simd::supported(simd::Width::W256)) widths.push_back(simd::Request::W256);
+  if (simd::supported(simd::Width::W512)) widths.push_back(simd::Request::W512);
   return widths;
 }
 
@@ -50,76 +57,105 @@ std::vector<Fault> mixed_faults() {
   return faults;
 }
 
-CoverageOptions options(CoverageBackend backend, simd::Request w, ScheduleMode schedule,
-                        bool collapse, unsigned threads = 2) {
-  return {backend, threads, w, schedule, collapse};
+CoverageOptions options(CoverageBackend backend, simd::Request w, bool collapse,
+                        unsigned threads = 2) {
+  return {backend, threads, w, collapse};
 }
 
-// --- the hard invariant: dense == repack, byte for byte -----------------
+// The differential reference, independent of the scheduler: every
+// (fault, seed) pair simulated on its own by one scalar Memory +
+// MarchRunner session (run_campaign_unit), no batching, dropping,
+// settle-exit or collapsing.
+VerdictMatrix oracle_matrix(SchemeKind k, const MarchTest& march,
+                            const std::vector<Fault>& faults,
+                            const std::vector<std::uint64_t>& seeds) {
+  const SchemePlan plan = make_scheme_plan(k, march, kWidth);
+  VerdictMatrix m;
+  m.num_faults = faults.size();
+  m.num_seeds = seeds.size();
+  m.bits.resize(faults.size() * seeds.size());
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    for (std::size_t s = 0; s < seeds.size(); ++s)
+      m.bits[i * seeds.size() + s] =
+          run_campaign_unit<ScalarEngine>(plan, kWords, &faults[i], 1, seeds[s]);
+  return m;
+}
 
-TEST(SchedulerDifferential, MatrixIdenticalAcrossSchemesWidthsAndModes) {
+// --- the hard invariant: every backend == the oracle, byte for byte -----
+
+TEST(SchedulerDifferential, MatrixMatchesScalarOracleForEverySchemeWidthAndCollapse) {
   const MarchTest march = march_by_name("March C-");
   const auto faults = mixed_faults();
-  // Zero-only seeds activate every collapsing rule; the mixed set
-  // activates dropping between rounds.
+  std::vector<CoverageOptions> runs;
+  for (bool collapse : {false, true}) {
+    runs.push_back(options(CoverageBackend::Scalar, simd::Request::Auto, collapse));
+    for (simd::Request w : supported_widths())
+      runs.push_back(options(CoverageBackend::Packed, w, collapse));
+  }
+  // Zero-only seeds activate every collapsing rule; the mixed set runs
+  // several seed rounds (settle-exit and retirement inside each).
   for (const std::vector<std::uint64_t>& seeds :
        {std::vector<std::uint64_t>{0}, std::vector<std::uint64_t>{0, 1, 2}}) {
     for (SchemeKind k : kAllSchemes) {
-      for (simd::Request w : schedulable_widths()) {
-        const CampaignRunner dense(
-            kWords, kWidth, options(CoverageBackend::Packed, w, ScheduleMode::Dense, false));
-        const VerdictMatrix want = dense.matrix(k, march, faults, seeds);
-        for (bool collapse : {false, true}) {
-          const CampaignRunner repack(
-              kWords, kWidth,
-              options(CoverageBackend::Packed, w, ScheduleMode::Repack, collapse));
-          const VerdictMatrix got = repack.matrix(k, march, faults, seeds);
-          EXPECT_EQ(want.bits, got.bits)
-              << to_string(k) << " simd=" << static_cast<int>(w) << " collapse=" << collapse
-              << " seeds=" << seeds.size();
-        }
+      const VerdictMatrix want = oracle_matrix(k, march, faults, seeds);
+      for (const CoverageOptions& o : runs)
+        EXPECT_EQ(want.bits, CampaignRunner(kWords, kWidth, o).matrix(k, march, faults, seeds).bits)
+            << to_string(k) << " " << to_string(o.backend) << " simd=" << simd::to_string(o.simd)
+            << " collapse=" << o.collapse << " seeds=" << seeds.size();
+    }
+  }
+}
+
+// per_fault exercises the dropping path (no matrix -> decided faults leave
+// the live set between rounds), evaluate the all+any bookkeeping.
+TEST(SchedulerDifferential, PerFaultAndAggregatesMatchScalarOracle) {
+  const MarchTest march = march_by_name("March C-");
+  const auto faults = mixed_faults();
+  const std::vector<std::uint64_t> seeds{0, 1, 2};
+  for (SchemeKind k : kAllSchemes) {
+    const VerdictMatrix m = oracle_matrix(k, march, faults, seeds);
+    std::vector<bool> want(faults.size());
+    CoverageOutcome a;
+    a.total = faults.size();
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      want[i] = m.detected_all(i);
+      a.detected_all += m.detected_all(i);
+      a.detected_any += m.detected_any(i);
+    }
+    for (const CoverageBackend backend : {CoverageBackend::Scalar, CoverageBackend::Packed}) {
+      for (simd::Request w : supported_widths()) {
+        const CampaignRunner runner(kWords, kWidth, options(backend, w, true));
+        const std::string ctx = to_string(k) + " " + to_string(backend) + " simd=" +
+                                simd::to_string(w);
+        EXPECT_EQ(want, runner.per_fault(k, march, faults, seeds)) << ctx;
+        const CoverageOutcome b = runner.evaluate(k, march, faults, seeds);
+        EXPECT_EQ(a.detected_all, b.detected_all) << ctx;
+        EXPECT_EQ(a.detected_any, b.detected_any) << ctx;
+        EXPECT_EQ(a.total, b.total) << ctx;
+        if (backend == CoverageBackend::Scalar) break;  // the width is a packed knob
       }
     }
   }
 }
 
-TEST(SchedulerDifferential, ScalarRepackMatchesScalarDense) {
+// A fault list of three faults in a unit of hundreds of lanes: lane 0
+// stays golden, verdicts match the oracle, and the aggregate counts report
+// no phantom universes — over several seed rounds, so the partial unit is
+// also rebuilt from survivors.
+TEST(SchedulerDifferential, PartialUnitFarSmallerThanOneBlock) {
   const MarchTest march = march_by_name("March C-");
-  const auto faults = mixed_faults();
-  const std::vector<std::uint64_t> seeds{0, 3};
-  for (SchemeKind k : kAllSchemes) {
-    const CampaignRunner dense(
-        kWords, kWidth,
-        options(CoverageBackend::Scalar, simd::Request::Auto, ScheduleMode::Dense, false));
-    const CampaignRunner repack(
-        kWords, kWidth,
-        options(CoverageBackend::Scalar, simd::Request::Auto, ScheduleMode::Repack, true));
-    EXPECT_EQ(dense.matrix(k, march, faults, seeds).bits,
-              repack.matrix(k, march, faults, seeds).bits)
-        << to_string(k);
-  }
-}
-
-// per_fault exercises the dropping path (no matrix -> undecided faults
-// leave the live set between rounds), evaluate the all+any bookkeeping.
-TEST(SchedulerDifferential, PerFaultAndAggregatesMatchAcrossModes) {
-  const MarchTest march = march_by_name("March C-");
-  const auto faults = mixed_faults();
-  const std::vector<std::uint64_t> seeds{0, 1, 2};
-  for (SchemeKind k : kAllSchemes) {
-    for (simd::Request w : schedulable_widths()) {
-      const CampaignRunner dense(
-          kWords, kWidth, options(CoverageBackend::Packed, w, ScheduleMode::Dense, false));
-      const CampaignRunner repack(
-          kWords, kWidth, options(CoverageBackend::Packed, w, ScheduleMode::Repack, true));
-      EXPECT_EQ(dense.per_fault(k, march, faults, seeds), repack.per_fault(k, march, faults, seeds))
-          << to_string(k);
-      const CoverageOutcome a = dense.evaluate(k, march, faults, seeds);
-      const CoverageOutcome b = repack.evaluate(k, march, faults, seeds);
-      EXPECT_EQ(a.detected_all, b.detected_all) << to_string(k);
-      EXPECT_EQ(a.detected_any, b.detected_any) << to_string(k);
-      EXPECT_EQ(a.total, b.total) << to_string(k);
-    }
+  const auto all = mixed_faults();
+  const std::vector<Fault> few{all[0], all[40], all[100]};
+  const std::vector<std::uint64_t> seeds{0, 7};
+  const auto want = oracle_matrix(SchemeKind::ProposedExact, march, few, seeds);
+  for (simd::Request w : supported_widths()) {
+    const CampaignRunner packed(kWords, kWidth, options(CoverageBackend::Packed, w, true));
+    EXPECT_EQ(want.bits, packed.matrix(SchemeKind::ProposedExact, march, few, seeds).bits)
+        << "simd=" << simd::to_string(w);
+    const auto counts = packed.evaluate(SchemeKind::ProposedExact, march, few, seeds);
+    EXPECT_EQ(counts.total, few.size());
+    EXPECT_LE(counts.detected_any, few.size())
+        << "phantom universes at simd=" << simd::to_string(w);
   }
 }
 
@@ -130,12 +166,10 @@ TEST(FaultCollapse, ExpandedVerdictsMatchUncollapsedRun) {
   const auto faults = mixed_faults();
   const std::vector<std::uint64_t> seeds{0};  // zero contents arm every rule
   for (SchemeKind k : kAllSchemes) {
-    const CampaignRunner off(
-        kWords, kWidth,
-        options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Repack, false));
-    const CampaignRunner on(
-        kWords, kWidth,
-        options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Repack, true));
+    const CampaignRunner off(kWords, kWidth,
+                             options(CoverageBackend::Packed, simd::Request::W64, false));
+    const CampaignRunner on(kWords, kWidth,
+                            options(CoverageBackend::Packed, simd::Request::W64, true));
     EXPECT_EQ(off.per_fault(k, march, faults, seeds), on.per_fault(k, march, faults, seeds))
         << to_string(k);
   }
@@ -269,31 +303,51 @@ TEST(SchedulerStats, SettleExitSkipsElementsAndCollapseShrinksTheList) {
   for (auto& f : all_tfs(kWords, kWidth)) faults.push_back(f);
   const std::vector<std::uint64_t> seeds{0};
 
-  CampaignStats repack_stats;
-  const CampaignRunner repack(
-      kWords, kWidth,
-      options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Repack, true, 1));
+  CampaignStats stats;
+  const CampaignRunner repack(kWords, kWidth,
+                              options(CoverageBackend::Packed, simd::Request::W64, true, 1));
   std::vector<char> all, any;
-  repack.run(SchemeKind::ProposedExact, march, faults, seeds, false, all, any, nullptr,
-             nullptr, &repack_stats);
-  EXPECT_LT(repack_stats.faults_simulated.load(), faults.size()) << "collapse must bite";
-  EXPECT_LT(repack_stats.elements_executed.load(), repack_stats.elements_total.load())
+  repack.run(SchemeKind::ProposedExact, march, faults, seeds, false, all, any, nullptr, nullptr,
+             &stats);
+  EXPECT_LT(stats.faults_simulated.load(), faults.size()) << "collapse must bite";
+  EXPECT_LT(stats.elements_executed.load(), stats.elements_total.load())
       << "settle-exit must cut march elements";
-  EXPECT_GT(repack_stats.units.load(), 0u);
-  EXPECT_GT(repack_stats.mean_live_lanes(), 0.0);
+  EXPECT_GT(stats.units.load(), 0u);
+  EXPECT_GT(stats.mean_live_lanes(), 0.0);
 
-  CampaignStats dense_stats;
-  const CampaignRunner dense(
-      kWords, kWidth,
-      options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Dense, false, 1));
-  std::vector<char> dall, dany;
-  dense.run(SchemeKind::ProposedExact, march, faults, seeds, false, dall, dany, nullptr,
-            nullptr, &dense_stats);
-  EXPECT_EQ(dense_stats.elements_executed.load(), dense_stats.elements_total.load())
-      << "dense runs full-length sessions";
-  EXPECT_EQ(dense_stats.faults_simulated.load(), faults.size());
-  EXPECT_EQ(all, dall);
-  EXPECT_EQ(any, dany);
+  // Collapsing off simulates every fault; neither mode moves a verdict.
+  CampaignStats uncollapsed;
+  const CampaignRunner no_collapse(kWords, kWidth,
+                                   options(CoverageBackend::Packed, simd::Request::W64, false, 1));
+  std::vector<char> uall, uany;
+  no_collapse.run(SchemeKind::ProposedExact, march, faults, seeds, false, uall, uany, nullptr,
+                  nullptr, &uncollapsed);
+  EXPECT_EQ(uncollapsed.faults_simulated.load(), faults.size());
+  const VerdictMatrix oracle = oracle_matrix(SchemeKind::ProposedExact, march, faults, seeds);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    EXPECT_EQ(all[i] != 0, oracle.detected_all(i)) << faults[i].describe();
+    EXPECT_EQ(uall[i] != 0, oracle.detected_all(i)) << faults[i].describe();
+  }
+}
+
+// The allocation-free round rebuild: worker memories persist across seed
+// rounds, so a campaign with three times the rounds performs exactly the
+// same number of fresh page allocations (the free-list absorbs every
+// refill).  This pins the CampaignStats::page_allocs contract.
+TEST(SchedulerStats, RepackRoundRebuildAllocatesNoNewPages) {
+  const MarchTest march = march_by_name("March C-");
+  const auto faults = mixed_faults();
+  for (simd::Request w : supported_widths()) {
+    CampaignStats short_run, long_run;
+    const std::vector<std::uint64_t> two{0, 7};
+    const std::vector<std::uint64_t> six{0, 7, 11, 13, 17, 19};
+    const CampaignRunner packed(kWords, kWidth, options(CoverageBackend::Packed, w, true, 1));
+    packed.per_fault(SchemeKind::ProposedExact, march, faults, two, &short_run);
+    packed.per_fault(SchemeKind::ProposedExact, march, faults, six, &long_run);
+    EXPECT_GT(short_run.page_allocs.load(), 0u) << simd::to_string(w);
+    EXPECT_EQ(short_run.page_allocs.load(), long_run.page_allocs.load())
+        << "extra rounds allocated pages at --simd " << simd::to_string(w);
+  }
 }
 
 // Streamed unit records of a collapsed campaign: one record per ORIGINAL
@@ -317,9 +371,8 @@ TEST(SchedulerObserver, CollapsedCampaignStreamsOneRecordPerOriginalFault) {
   std::vector<Fault> faults = all_safs(kWords, kWidth);
   for (auto& f : all_tfs(kWords, kWidth)) faults.push_back(f);
   const std::vector<std::uint64_t> seeds{0};
-  const CampaignRunner repack(
-      kWords, kWidth,
-      options(CoverageBackend::Packed, simd::Request::W64, ScheduleMode::Repack, true, 1));
+  const CampaignRunner repack(kWords, kWidth,
+                              options(CoverageBackend::Packed, simd::Request::W64, true, 1));
   RecordingObserver obs;
   std::vector<char> all, any;
   repack.run(SchemeKind::ProposedExact, march, faults, seeds, true, all, any, nullptr, &obs);

@@ -228,7 +228,7 @@ TEST_F(ServiceTest, DeltaSpecSimulatesOnlyTheNewCells) {
 }
 
 TEST_F(ServiceTest, CacheIsSharedAcrossExecutionModes) {
-  // dense/repack, scalar/packed and every thread count are
+  // scalar/packed, collapsing on/off and every thread count are
   // verdict-identical by construction, so the cell identity excludes the
   // run request and a resubmit under a different mode still replays.
   const auto port = start_server();
@@ -238,7 +238,6 @@ TEST_F(ServiceTest, CacheIsSharedAcrossExecutionModes) {
   api::CampaignSpec other = small_spec();
   other.backend = CoverageBackend::Scalar;
   other.threads = 1;
-  other.schedule = ScheduleMode::Dense;
   other.collapse = false;
   const SubmitResult r = submit_and_drain(c, other);
   EXPECT_EQ(u64_field(r.last, "simulated"), 0u);
@@ -345,6 +344,35 @@ TEST_F(ServiceTest, InvalidSpecKeepsTheConnectionOpenForAResubmit) {
   EXPECT_NE(line->find("memory.words"), std::string::npos);
 
   // Connection still usable: the corrected spec runs.
+  const SubmitResult r = submit_and_drain(c, small_spec());
+  EXPECT_EQ(frame_type(r.last), "campaign_stats");
+}
+
+// An exhaustive class too large to enumerate (cfid on 4096 x 8 is 4.3G
+// faults) is refused by validation before the shared engine builds its
+// fault list: the submit gets a spec-error frame at once, the connection
+// stays open and the daemon keeps serving.
+TEST_F(ServiceTest, OversizedExhaustiveClassGetsASpecErrorNotTheEngine) {
+  const auto port = start_server();
+  LineClient c = connect(port);
+
+  api::CampaignSpec huge = small_spec();
+  huge.words = 4096;
+  huge.width = 8;
+  huge.classes = {{api::ClassKind::CFid, CfScope::Both}};
+  huge.seeds = {0};
+  ASSERT_TRUE(c.send_line(submit_frame(huge)));
+  ASSERT_TRUE(c.wait_readable(10000)) << "no answer: the spec reached the engine";
+  const auto line = c.recv_line();
+  ASSERT_TRUE(line);
+  EXPECT_EQ(frame_type(*line), "error");
+  EXPECT_NE(line->find("\"scope\":\"spec\""), std::string::npos) << *line;
+  EXPECT_NE(line->find("classes[0]"), std::string::npos) << *line;
+
+  ASSERT_TRUE(c.send_line(ping_frame()));
+  const auto pong = c.recv_line();
+  ASSERT_TRUE(pong);
+  EXPECT_EQ(frame_type(*pong), "pong");
   const SubmitResult r = submit_and_drain(c, small_spec());
   EXPECT_EQ(frame_type(r.last), "campaign_stats");
 }

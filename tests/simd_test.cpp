@@ -42,29 +42,13 @@ TEST(Simd, ParseRequestRoundTrips) {
   EXPECT_EQ(simd::parse_request("64"), simd::Request::W64);
   EXPECT_EQ(simd::parse_request("256"), simd::Request::W256);
   EXPECT_EQ(simd::parse_request("512"), simd::Request::W512);
-  EXPECT_EQ(simd::parse_request("tiled"), simd::Request::Tiled);
-  EXPECT_EQ(simd::parse_request("tiled:4096"), simd::Request::Tiled4096);
-  EXPECT_EQ(simd::parse_request("tiled:32768"), simd::Request::Tiled32768);
   EXPECT_FALSE(simd::parse_request("avx2").has_value());
   EXPECT_FALSE(simd::parse_request("").has_value());
   EXPECT_FALSE(simd::parse_request("65").has_value());
-  EXPECT_FALSE(simd::parse_request("tiled:64").has_value());
-  EXPECT_FALSE(simd::parse_request("tiled:").has_value());
-}
-
-TEST(Simd, TiledWidthsAlwaysSupportedAndNeverAuto) {
-  for (simd::Width w : simd::kTiledWidths) {
-    EXPECT_TRUE(simd::is_tiled(w));
-    EXPECT_TRUE(simd::supported(w)) << simd::to_string(w);
-  }
-  for (simd::Width w : simd::kAllWidths) EXPECT_FALSE(simd::is_tiled(w));
-  // Auto never picks a tiled width (tiles are an explicit opt-in).
-  EXPECT_FALSE(simd::is_tiled(simd::best_width()));
-  EXPECT_FALSE(simd::is_tiled(simd::resolve(simd::Request::Auto)));
-  // The bare "tiled" request defers the size choice to resolve().
-  EXPECT_EQ(simd::resolve(simd::Request::Tiled), simd::Width::Tiled4096);
-  EXPECT_EQ(simd::resolve(simd::Request::Tiled4096), simd::Width::Tiled4096);
-  EXPECT_EQ(simd::resolve(simd::Request::Tiled32768), simd::Width::Tiled32768);
+  // The tiled widths left with the tiled backend.
+  EXPECT_FALSE(simd::parse_request("tiled").has_value());
+  EXPECT_FALSE(simd::parse_request("tiled:4096").has_value());
+  EXPECT_FALSE(simd::parse_request("tiled:32768").has_value());
 }
 
 TEST(Simd, ResolveAutoPicksBestAndForcedRespectsSupport) {
@@ -81,12 +65,8 @@ TEST(Simd, ResolveAutoPicksBestAndForcedRespectsSupport) {
 
 TEST(Simd, ToStringSpellsLaneCounts) {
   EXPECT_EQ(simd::to_string(simd::Width::W512), "512");
-  EXPECT_EQ(simd::to_string(simd::Width::Tiled4096), "tiled:4096");
-  EXPECT_EQ(simd::to_string(simd::Width::Tiled32768), "tiled:32768");
   EXPECT_EQ(simd::to_string(simd::Request::Auto), "auto");
   EXPECT_EQ(simd::to_string(simd::Request::W256), "256");
-  EXPECT_EQ(simd::to_string(simd::Request::Tiled), "tiled");
-  EXPECT_EQ(simd::to_string(simd::Request::Tiled4096), "tiled:4096");
 }
 
 // --- lane-block vocabulary ----------------------------------------------

@@ -11,7 +11,7 @@
 //     for words that straddle a 64-bit limb, and declines (no op counted)
 //     on packed pages and for words wider than 64 bits;
 //   * VerdictMatrix byte-equality with the scalar engine for all eight
-//     schemes at every supported single-block width and a tiled width, on
+//     schemes at every supported lane-block width, on
 //     multi-page memories whose middle pages are fault-free while the
 //     outer pages carry cross-page AFaw aliases, inter-word coupling
 //     aggressors and retention faults that decay at pause elements;
@@ -182,16 +182,6 @@ TEST(UniformPath, VerdictMatrixMatchesScalarForEverySchemeAndWidth) {
         EXPECT_EQ(scalar.bits, run_matrix(k, march, width, CoverageBackend::Packed, r).bits)
             << to_string(k) << " width " << width << " --simd " << simd::to_string(r);
     }
-}
-
-// The tiled backend shares the runner and sinks; one narrow width keeps
-// its (large) pages affordable.
-TEST(UniformPath, TiledVerdictMatrixMatchesScalar) {
-  const MarchTest march = march_by_name("March G");
-  for (const SchemeKind k : kAllSchemes)
-    EXPECT_EQ(run_matrix(k, march, 8, CoverageBackend::Scalar, simd::Request::Auto).bits,
-              run_matrix(k, march, 8, CoverageBackend::Packed, simd::Request::Tiled4096).bits)
-        << to_string(k);
 }
 
 TEST(UniformPath, SessionOpCountMatchesScalarMemory) {
