@@ -163,6 +163,12 @@ class UnitObserver {
   }
   virtual bool want_seed_verdicts() const { return false; }
 
+  // Closes one batch of on_unit_settled calls: the scheduler reports the
+  // faults a round decided together, then calls this once (only when the
+  // round reported at least one fault).  The api layer flushes its sink
+  // here, so streamed records cost one flush per batch, not per record.
+  virtual void on_batch_end() {}
+
   virtual bool cancelled() const { return false; }
 };
 

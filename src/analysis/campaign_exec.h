@@ -173,6 +173,7 @@ void run_campaign_repack(const CampaignJob& job) {
     const bool final_round = s + 1 == job.num_seeds;
     survivors.clear();
     if (!final_round) survivors.reserve(live.size());
+    bool reported = false;
     for (const std::uint32_t g : live) {
       const bool decided =
           !no_drop && job.all[g] == 0 && (!job.need_any || job.any[g] != 0);
@@ -182,9 +183,11 @@ void run_campaign_repack(const CampaignJob& job) {
           break;
         }
         job.observer->on_unit_settled(g, 1, job.all + g, job.any + g);
+        reported = true;
       }
       if (!decided && !final_round) survivors.push_back(g);
     }
+    if (reported) job.observer->on_batch_end();
     live.swap(survivors);
   }
 

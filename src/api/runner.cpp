@@ -94,6 +94,13 @@ class SinkAdapter : public UnitObserver {
     sink_->on_seed_settled(r);
   }
 
+  // One scheduler round's records are in: push them to the consumer.
+  void on_batch_end() override {
+    if (!sink_) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    sink_->flush();
+  }
+
   bool want_seed_verdicts() const override { return sink_ && sink_->want_seed_records(); }
   bool cancelled() const override {
     return (gate_ && gate_->expired()) || (sink_ && sink_->cancelled());
@@ -217,6 +224,7 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
               ++summary.units_emitted;
             }
           }
+          if (sink) sink->flush();  // a replayed cell is one batch
           summary.cells.push_back(cell);
           if (cache_stats) {
             ++cache_stats->cells_cached;
@@ -293,6 +301,7 @@ CampaignSummary run_campaign_impl(const CampaignSpec& spec, ResultSink* sink,
             }
           }
         }
+        if (sink && replayed > 0) sink->flush();  // the resumed regions are one batch
         if (ck_active) {
           progress.on_region_done = [&](unsigned r, const std::vector<std::uint32_t>&) {
             CheckpointEntry e;

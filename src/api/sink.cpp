@@ -1,5 +1,6 @@
 #include "api/sink.h"
 
+#include <charconv>
 #include <ostream>
 
 #include "api/json.h"
@@ -15,6 +16,11 @@ namespace {
 std::string seconds_str(double seconds) { return fixed_str(seconds, 6); }
 
 const char* bool_str(bool b) { return b ? "true" : "false"; }
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 }  // namespace
 
@@ -54,21 +60,30 @@ void JsonLinesSink::on_campaign_begin(const CampaignMeta& meta) {
 }
 
 void JsonLinesSink::on_unit(const UnitRecord& r) {
-  out_ << "{\"type\":\"unit\",\"scheme\":" << json_quote(scheme_id(r.scheme))
-       << ",\"class\":" << json_quote(to_string(r.cls)) << ",\"fault\":" << r.fault_index
-       << ",\"describe\":" << json_quote(r.fault ? r.fault->describe() : "")
-       << ",\"detected_all\":" << bool_str(r.detected_all)
-       << ",\"detected_any\":" << bool_str(r.detected_any) << "}\n";
-  // The whole point of this sink is that a consumer can tail the stream
-  // mid-campaign; records must not sit in the stream buffer until the end.
-  out_.flush();
+  if (unit_prefix_.empty() || r.scheme != prefix_scheme_ || r.cls != prefix_cls_) {
+    unit_prefix_ = "{\"type\":\"unit\",\"scheme\":" + json_quote(scheme_id(r.scheme)) +
+                   ",\"class\":" + json_quote(to_string(r.cls)) + ",\"fault\":";
+    prefix_scheme_ = r.scheme;
+    prefix_cls_ = r.cls;
+  }
+  line_ = unit_prefix_;
+  append_uint(line_, r.fault_index);
+  // describe() bytes need no JSON escaping (memsim/fault.h).
+  line_ += ",\"describe\":\"";
+  if (r.fault) r.fault->describe_to(line_);
+  line_ += "\",\"detected_all\":";
+  line_ += bool_str(r.detected_all);
+  line_ += ",\"detected_any\":";
+  line_ += bool_str(r.detected_any);
+  line_ += "}\n";
+  // No flush: the runner flushes at batch boundaries (sink.h).
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 void JsonLinesSink::on_seed_settled(const SeedRecord& r) {
   out_ << "{\"type\":\"seed\",\"scheme\":" << json_quote(scheme_id(r.scheme))
        << ",\"class\":" << json_quote(to_string(r.cls)) << ",\"fault\":" << r.fault_index
        << ",\"seed\":" << r.seed << ",\"detected\":" << bool_str(r.detected) << "}\n";
-  out_.flush();  // same mid-campaign tailing contract as unit records
 }
 
 void JsonLinesSink::on_campaign_end(const CampaignSummary& s) {

@@ -19,6 +19,18 @@
 //   cancelled()         polled between units; returning true stops the
 //                       campaign cooperatively (in-flight units finish,
 //                       the record stream ends in a truncated prefix)
+//   flush()             a batch boundary: records handed over since the
+//                       last flush must now reach the consumer
+//
+// Tailing contract: a consumer can tail the stream mid-campaign.  The
+// runner calls flush() at its own batch boundaries, so a record reaches the
+// stream no later than the end of the batch it settled in — live, the
+// scheduler round that decided it (one per content seed and address
+// region: a round's decided faults are reported together); replayed, the
+// cache cell or the resumed checkpoint regions it came from.
+// campaign_begin, campaign_end and error records are flushed as they are
+// written.  Sinks buffer in between: one flush per batch, not per record,
+// is what keeps a socket stream at one send() per batch.
 //
 // A spec with run.deadline_ms set cancels ITSELF: the runner polls the
 // deadline at the same between-units granularity, and the summary of a
@@ -26,9 +38,10 @@
 // record stream is the exact prefix of the fault-free stream that fit in
 // the budget (the PR 4 cancellation contract, with a clock as the sink).
 //
-// Sink callbacks are SERIALIZED by the runner (a mutex around every event)
-// — implementations need no locking of their own, but cancelled() is read
-// from worker threads, so a cancelling sink flips an atomic.
+// Sink callbacks are SERIALIZED by the runner (a mutex around every event,
+// flush() included) — implementations need no locking of their own, but
+// cancelled() is read from worker threads, so a cancelling sink flips an
+// atomic.  Records and flushes may arrive on worker threads too.
 //
 // Three sinks ship: JSON-lines (machine tailing), CSV (spreadsheets), and
 // the human tables the CLI always printed.
@@ -38,6 +51,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "api/error.h"
@@ -103,6 +117,9 @@ class ResultSink {
   // which run_campaign throws CampaignError); never after on_campaign_end.
   virtual void on_error(const Error& error) { (void)error; }
 
+  // Batch boundary (see the tailing contract above).
+  virtual void flush() {}
+
   virtual bool want_seed_records() const { return false; }
   // Polled (possibly concurrently) between units.
   virtual bool cancelled() const { return false; }
@@ -112,6 +129,8 @@ class ResultSink {
 // Line shapes: {"type":"campaign_begin",...}, {"type":"seed",...},
 // {"type":"unit",...}, {"type":"campaign_end","cells":[...]}, and on
 // abort {"type":"error","scope":...,"retryable":...,"message":...}.
+// Unit and seed records are flushed at the runner's batch boundaries (the
+// tailing contract above); the other three flush as they are written.
 class JsonLinesSink : public ResultSink {
  public:
   explicit JsonLinesSink(std::ostream& out, bool include_seed_records = false)
@@ -122,11 +141,19 @@ class JsonLinesSink : public ResultSink {
   void on_seed_settled(const SeedRecord& record) override;
   void on_campaign_end(const CampaignSummary& summary) override;
   void on_error(const Error& error) override;
+  void flush() override { out_.flush(); }
   bool want_seed_records() const override { return include_seed_records_; }
 
  private:
   std::ostream& out_;
   bool include_seed_records_;
+  // on_unit formats each record into line_ and writes it with one call.
+  // unit_prefix_ is `{"type":"unit","scheme":…,"class":…,"fault":` for the
+  // (scheme, class) of the last record — records arrive cell by cell.
+  std::string line_;
+  std::string unit_prefix_;
+  SchemeKind prefix_scheme_ = SchemeKind::ProposedExact;
+  ClassSel prefix_cls_;
 };
 
 // CSV: one header row (emitted at the first campaign's begin, never

@@ -317,8 +317,8 @@ std::optional<api::CampaignSpec> spec_from_flags(const Options& o, std::ostream&
     spec.simd = *req;
   }
 
-  // Unknown flags are otherwise ignored; a script still passing the
-  // removed scheduler switch must not silently get a different run.
+  // A script still passing the removed scheduler switch gets told why,
+  // not just "unknown flag".
   if (o.flags.count("schedule")) {
     err << "error: --schedule was removed (survivor repacking is the only scheduler)\n";
     return std::nullopt;
@@ -840,6 +840,58 @@ int cmd_submit(const Options& o, std::ostream& out, std::ostream& err) {
   return ok ? 0 : 1;
 }
 
+// Every command with the flags it reads (spelled without "--").  Any other
+// flag is a usage error rather than a silent no-op; --failpoints is global
+// and accepted by every command.
+struct Command {
+  const char* name;
+  int (*run)(const Options&, std::ostream&, std::ostream&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  // `schedule` stays declared so a script still passing the removed switch
+  // gets spec_from_flags' "was removed" message.
+  static const std::vector<std::string> kCampaignFlags = {
+      "width", "words", "scheme", "classes", "seeds", "backend",
+      "threads", "simd", "collapse", "regions", "schedule"};
+  static const std::vector<std::string> kSpecFlags = [] {
+    std::vector<std::string> f = kCampaignFlags;
+    f.push_back("name");
+    return f;
+  }();
+  static const std::vector<Command> table = {
+      {"list", [](const Options&, std::ostream& out, std::ostream&) { return cmd_list(out); },
+       {}},
+      {"show", cmd_show, {}},
+      {"transform", cmd_transform, {"width", "scheme"}},
+      {"complexity", cmd_complexity, {"width"}},
+      {"simulate", cmd_simulate, {"width", "words", "seed", "fault"}},
+      {"coverage", cmd_coverage, kCampaignFlags},
+      {"spec", cmd_spec, kSpecFlags},
+      {"run", cmd_run, {"sink", "out", "regions", "deadline-ms", "checkpoint"}},
+      {"explore", cmd_explore, {"out", "resume", "threads", "rounds", "stop-after"}},
+      {"simd", [](const Options& o, std::ostream& out, std::ostream&) { return cmd_simd(o, out); },
+       {"json"}},
+      {"serve", cmd_serve,
+       {"host", "port", "cache-dir", "cache-entries", "max-clients", "idle-timeout-ms"}},
+      {"submit", cmd_submit, {"host", "port", "retries", "backoff-ms", "stats", "shutdown"}},
+  };
+  return table;
+}
+
+// The first flag on the command line that `cmd` does not read, if any.
+std::optional<std::string> unknown_flag(const Command& cmd, const Options& o) {
+  const auto known = [&cmd](const std::string& flag) {
+    return flag == "failpoints" ||
+           std::find(cmd.flags.begin(), cmd.flags.end(), flag) != cmd.flags.end();
+  };
+  for (const auto& [flag, value] : o.flags)
+    if (!known(flag)) return flag;
+  if (!o.faults.empty() && !known("fault")) return std::string("fault");
+  return std::nullopt;
+}
+
 }  // namespace
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
@@ -863,25 +915,20 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
     }
   }
   if (opts->positional.empty()) return usage();
-  const std::string& cmd = opts->positional[0];
+  const std::string& name = opts->positional[0];
+  const auto cmd = std::find_if(commands().begin(), commands().end(),
+                                [&name](const Command& c) { return name == c.name; });
+  if (cmd == commands().end()) return usage();
+  if (const auto flag = unknown_flag(*cmd, *opts)) {
+    err << "error: unknown flag --" << *flag << " for '" << name << "'\n";
+    return 1;
+  }
   try {
-    if (cmd == "list") return cmd_list(out);
-    if (cmd == "show") return cmd_show(*opts, out, err);
-    if (cmd == "transform") return cmd_transform(*opts, out, err);
-    if (cmd == "complexity") return cmd_complexity(*opts, out, err);
-    if (cmd == "simulate") return cmd_simulate(*opts, out, err);
-    if (cmd == "coverage") return cmd_coverage(*opts, out, err);
-    if (cmd == "spec") return cmd_spec(*opts, out, err);
-    if (cmd == "run") return cmd_run(*opts, out, err);
-    if (cmd == "explore") return cmd_explore(*opts, out, err);
-    if (cmd == "simd") return cmd_simd(*opts, out);
-    if (cmd == "serve") return cmd_serve(*opts, out, err);
-    if (cmd == "submit") return cmd_submit(*opts, out, err);
+    return cmd->run(*opts, out, err);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     return 1;
   }
-  return usage();
 }
 
 }  // namespace twm

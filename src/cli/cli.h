@@ -125,7 +125,8 @@
 //
 // Every command also accepts --failpoints "name=action[@N|:P];..." — the
 // chaos-injection spec from util/failpoint.h, equivalent to setting
-// TWM_FAILPOINTS for the in-process registry.
+// TWM_FAILPOINTS for the in-process registry.  Any flag a command does not
+// list above is a usage error ("unknown flag --x for 'cmd'"), never ignored.
 //
 // coverage, spec and run all speak twm::api (src/api): the flag surface is
 // parsed into a CampaignSpec, validated field by field, and executed by

@@ -60,7 +60,12 @@ struct Fault {
   // Address-decoder fault (word-level port distortion, no cell defect).
   bool is_decoder() const { return cls == FaultClass::AFna || cls == FaultClass::AFaw; }
 
+  // Human-readable form, e.g. "CFid<^;0> w0.b1->w0.b3 [intra]".  The
+  // bytes are printable ASCII without '"' or '\\', so the JSON-lines sink
+  // embeds them unescaped.  describe_to appends the same bytes to `out`
+  // (no temporaries: the sinks format one per streamed record).
   std::string describe() const;
+  void describe_to(std::string& out) const;
 
   // Convenience constructors.
   static Fault saf(CellAddr cell, bool stuck_value);

@@ -16,8 +16,9 @@ namespace twm::service {
 LineClient::~LineClient() { close(); }
 
 LineClient::LineClient(LineClient&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_), buffer_(std::move(other.buffer_)), head_(other.head_) {
   other.fd_ = -1;
+  other.head_ = 0;
 }
 
 LineClient& LineClient::operator=(LineClient&& other) noexcept {
@@ -25,7 +26,9 @@ LineClient& LineClient::operator=(LineClient&& other) noexcept {
     close();
     fd_ = other.fd_;
     buffer_ = std::move(other.buffer_);
+    head_ = other.head_;
     other.fd_ = -1;
+    other.head_ = 0;
   }
   return *this;
 }
@@ -80,14 +83,18 @@ bool LineClient::send_line(const std::string& frame) {
 std::optional<std::string> LineClient::recv_line() {
   if (fd_ < 0) return std::nullopt;
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', head_);
     if (nl != std::string::npos) {
-      std::string line(buffer_, 0, nl);
-      buffer_.erase(0, nl + 1);
+      std::string line(buffer_, head_, nl - head_);
+      head_ = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    char chunk[4096];
+    // Drop the consumed lines once per refill, not once per line: erasing
+    // each line from the front of a 64 KiB chunk would be quadratic.
+    buffer_.erase(0, head_);
+    head_ = 0;
+    char chunk[64 * 1024];
     const ssize_t n = net_recv(fd_, chunk, sizeof(chunk));
     if (n <= 0) return std::nullopt;
     buffer_.append(chunk, static_cast<std::size_t>(n));
@@ -95,7 +102,7 @@ std::optional<std::string> LineClient::recv_line() {
 }
 
 bool LineClient::wait_readable(int timeout_ms) {
-  if (fd_ < 0 || buffer_.find('\n') != std::string::npos) return true;
+  if (fd_ < 0 || buffer_.find('\n', head_) != std::string::npos) return true;
   pollfd p{};
   p.fd = fd_;
   p.events = POLLIN;
@@ -108,6 +115,7 @@ void LineClient::close() {
     fd_ = -1;
   }
   buffer_.clear();
+  head_ = 0;
 }
 
 void LineClient::shutdown_write() {

@@ -4,6 +4,7 @@
 #ifndef TWM_SERVICE_CLIENT_H
 #define TWM_SERVICE_CLIENT_H
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,7 +49,8 @@ class LineClient {
 
  private:
   int fd_ = -1;
-  std::string buffer_;
+  std::string buffer_;     // received bytes; [0, head_) already consumed
+  std::size_t head_ = 0;   // start of the next unread line in buffer_
 };
 
 }  // namespace twm::service

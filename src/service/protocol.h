@@ -14,8 +14,13 @@
 //             api::JsonLinesSink emits it — campaign_begin, unit*,
 //             campaign_end — followed by one service-level
 //             {"type":"campaign_stats","cells":M,"cached":K,"simulated":S,
-//              "faults_replayed":F} frame whose counters prove how much of
-//             the campaign was served from the result cache.
+//              "faults_replayed":F,"cancelled":C,"sends":N} frame whose
+//             counters prove how much of the campaign was served from the
+//             result cache.  `sends` counts the send() calls that carried
+//             the record stream (this frame excluded): records are flushed
+//             per batch — one scheduler round live, one cell replayed — in
+//             sends of at most 64 KiB, so N stays near bytes / 64 KiB +
+//             batches, not one per record.
 //   ping      {"type":"pong"}
 //   stats     {"type":"stats","campaigns":..,"cancelled":..,
 //              "frames_rejected":..,"cache":{...}}

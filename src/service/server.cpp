@@ -11,6 +11,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <streambuf>
+#include <vector>
 
 #include "api/error.h"
 #include "api/json.h"
@@ -35,14 +36,22 @@ bool send_line(int fd, const std::string& frame) {
 }
 
 // std::streambuf over a socket so the existing JsonLinesSink can stream
-// straight onto the wire.  Buffered per record (the sink flushes each
-// line); a failed send latches `failed` instead of throwing mid-campaign.
+// straight onto the wire.  The sink flushes at the runner's batch
+// boundaries (api/sink.h), so one send() carries a whole batch of records;
+// the 64 KiB buffer bounds a send between flushes.  A failed send latches
+// `failed` instead of throwing mid-campaign.
 class FdStreambuf : public std::streambuf {
  public:
-  FdStreambuf(int fd, std::atomic<bool>& failed) : fd_(fd), failed_(failed) {
-    setp(buffer_, buffer_ + sizeof(buffer_));
+  static constexpr std::size_t kBufferBytes = 64 * 1024;
+
+  FdStreambuf(int fd, std::atomic<bool>& failed)
+      : fd_(fd), failed_(failed), buffer_(kBufferBytes) {
+    reset_put_area();
   }
   ~FdStreambuf() override { sync(); }
+
+  // net_send_all calls so far: the campaign_stats frame reports them.
+  std::uint64_t sends() const { return sends_; }
 
  protected:
   int overflow(int ch) override {
@@ -57,11 +66,17 @@ class FdStreambuf : public std::streambuf {
   int sync() override { return flush_buffer(); }
 
  private:
+  void reset_put_area() { setp(buffer_.data(), buffer_.data() + buffer_.size()); }
+
   int flush_buffer() {
     const std::size_t pending = static_cast<std::size_t>(pptr() - pbase());
-    if (pending > 0 && !net_send_all(fd_, pbase(), pending))
-      failed_.store(true, std::memory_order_relaxed);
-    setp(buffer_, buffer_ + sizeof(buffer_));
+    // After a failed send the peer counts as gone: later bytes are dropped
+    // rather than sent after a hole in the stream.
+    if (pending > 0 && !failed_.load(std::memory_order_relaxed)) {
+      ++sends_;
+      if (!net_send_all(fd_, pbase(), pending)) failed_.store(true, std::memory_order_relaxed);
+    }
+    reset_put_area();
     // Report success even after a send failure: the sink keeps formatting
     // into the void, cancellation (below) ends the campaign cooperatively.
     return 0;
@@ -69,7 +84,8 @@ class FdStreambuf : public std::streambuf {
 
   int fd_;
   std::atomic<bool>& failed_;
-  char buffer_[4096];
+  std::vector<char> buffer_;
+  std::uint64_t sends_ = 0;
 };
 
 // JsonLinesSink whose cancelled() notices the client leaving: either a
@@ -314,7 +330,8 @@ bool ServiceServer::handle_submit(int fd, const api::CampaignSpec& spec) {
                             ",\"cached\":" + std::to_string(stats.cells_cached) +
                             ",\"simulated\":" + std::to_string(stats.cells_simulated) +
                             ",\"faults_replayed\":" + std::to_string(stats.faults_replayed) +
-                            ",\"cancelled\":" + (cancelled ? "true" : "false") + "}";
+                            ",\"cancelled\":" + (cancelled ? "true" : "false") +
+                            ",\"sends\":" + std::to_string(buf.sends()) + "}";
   return send_line(fd, frame);
 }
 

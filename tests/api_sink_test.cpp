@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <clocale>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <streambuf>
 
 #include "analysis/campaign.h"
 #include "analysis/report.h"
@@ -165,6 +168,148 @@ TEST(ResultSinkTest, JsonLinesStreamIsWellFormed) {
   ASSERT_NE(cells, nullptr);
   ASSERT_EQ(cells->items().size(), 1u);
   EXPECT_EQ(*cells->items()[0].find("total")->as_u64(), 8u);
+}
+
+// ---- flush contract (sink.h "Tailing contract") ---------------------------
+
+std::size_t count_unit_lines(const std::string& text) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find("{\"type\":\"unit\""); at != std::string::npos;
+       at = text.find("{\"type\":\"unit\"", at + 1))
+    ++n;
+  return n;
+}
+
+// Holds written bytes until sync(), like a socket stream buffer: `delivered`
+// is what a tailing consumer has seen.  Each sync() logs how many unit
+// lines had been delivered by then.
+class DeliveryBuf : public std::streambuf {
+ public:
+  std::string pending, delivered;
+  std::vector<std::size_t> units_at_sync;
+
+ protected:
+  int overflow(int ch) override {
+    if (ch != traits_type::eof()) pending += static_cast<char>(ch);
+    return ch;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    pending.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int sync() override {
+    delivered += pending;
+    pending.clear();
+    units_at_sync.push_back(count_unit_lines(delivered));
+    return 0;
+  }
+};
+
+// JSON-lines sink that logs the unit records it was handed by each flush()
+// and checks, as every record arrives, that the stream already holds all
+// records of the batches before it — and none of the current batch.
+class BatchProbeSink : public JsonLinesSink {
+ public:
+  BatchProbeSink(std::ostream& out, const DeliveryBuf& buf) : JsonLinesSink(out), buf_(buf) {}
+
+  void on_unit(const UnitRecord& r) override {
+    EXPECT_EQ(count_unit_lines(buf_.delivered), units_at_flush.empty() ? 0 : units_at_flush.back())
+        << "record " << units;
+    ++units;
+    JsonLinesSink::on_unit(r);
+  }
+  void flush() override {
+    units_at_flush.push_back(units);
+    JsonLinesSink::flush();
+  }
+
+  std::size_t units = 0;
+  std::vector<std::size_t> units_at_flush;
+
+ private:
+  const DeliveryBuf& buf_;
+};
+
+class MapCache : public CellCache {
+ public:
+  std::optional<CellRecords> lookup(const std::string& key,
+                                    const std::string& identity) override {
+    const auto it = store_.find(key);
+    if (it == store_.end() || it->second.first != identity) return std::nullopt;
+    return it->second.second;
+  }
+  void store(const std::string& key, const std::string& identity,
+             const CellRecords& records) override {
+    store_[key] = {identity, records};
+  }
+
+ private:
+  std::map<std::string, std::pair<std::string, CellRecords>> store_;
+};
+
+// Two cells of 16 faults under two contents: with one content evaluated no
+// fault can be decided (all=0 needs a miss, any=1 a hit), so each cell
+// reports all its faults in one batch, after the second round.
+CampaignSpec two_cell_spec() {
+  CampaignSpec s = sequential_spec();
+  s.words = 4;
+  s.classes = {{ClassKind::Saf, CfScope::Both}, {ClassKind::Tf, CfScope::Both}};
+  return s;
+}
+
+TEST(SinkFlushContract, LiveRunSyncsOncePerBatchNeverPerRecord) {
+  DeliveryBuf buf;
+  std::ostream out(&buf);
+  BatchProbeSink sink(out, buf);
+  const CampaignSummary summary = run_campaign(two_cell_spec(), &sink);
+  ASSERT_EQ(summary.units_emitted, 32u);
+  EXPECT_EQ(sink.units_at_flush, (std::vector<std::size_t>{16, 32}));
+  // campaign_begin, one per batch, campaign_end: 4 syncs for 32 records.
+  EXPECT_EQ(buf.units_at_sync, (std::vector<std::size_t>{0, 16, 32, 32}));
+  EXPECT_TRUE(buf.pending.empty());
+}
+
+TEST(SinkFlushContract, MultiRoundPackedRunsSyncPerSchedulerRound) {
+  // The symmetric scheme misses TFs under some contents, so faults settle
+  // in different rounds: up to one batch per (cell, content), whatever the
+  // thread count — records are reported on the calling thread.
+  CampaignSpec spec = two_cell_spec();
+  spec.width = 4;
+  spec.schemes = {SchemeKind::ProposedSymmetricXor};
+  spec.seeds = {0, 1, 2};
+  spec.backend = CoverageBackend::Packed;
+  spec.threads = 2;
+  DeliveryBuf buf;
+  std::ostream out(&buf);
+  BatchProbeSink sink(out, buf);
+  const CampaignSummary summary = run_campaign(spec, &sink);
+  const std::size_t records = summary.units_emitted;
+  ASSERT_EQ(records, 64u);
+  // More batches than cells: some TFs settle before the last round.
+  ASSERT_GT(sink.units_at_flush.size(), spec.classes.size());
+  EXPECT_LE(sink.units_at_flush.size(), spec.classes.size() * spec.seeds.size());
+  EXPECT_EQ(sink.units_at_flush.back(), records);
+  for (std::size_t i = 1; i < sink.units_at_flush.size(); ++i)
+    EXPECT_LT(sink.units_at_flush[i - 1], sink.units_at_flush[i]) << "empty batch flushed";
+  ASSERT_EQ(buf.units_at_sync.size(), sink.units_at_flush.size() + 2);
+  for (std::size_t i = 0; i < sink.units_at_flush.size(); ++i)
+    EXPECT_EQ(buf.units_at_sync[i + 1], sink.units_at_flush[i]);
+  EXPECT_LT(buf.units_at_sync.size(), records);
+}
+
+TEST(SinkFlushContract, ReplaySyncsOncePerCachedCell) {
+  MapCache cache;
+  CollectingSink warmup;
+  run_campaign(two_cell_spec(), &warmup, &cache);
+
+  DeliveryBuf buf;
+  std::ostream out(&buf);
+  BatchProbeSink sink(out, buf);
+  CacheStats stats;
+  run_campaign(two_cell_spec(), &sink, &cache, &stats);
+  ASSERT_EQ(stats.cells_cached, 2u);
+  EXPECT_EQ(sink.units_at_flush, (std::vector<std::size_t>{16, 32}));
+  EXPECT_EQ(buf.units_at_sync, (std::vector<std::size_t>{0, 16, 32, 32}));
 }
 
 TEST(ResultSinkTest, CsvSinkEmitsOneHeaderAndOneRowPerUnit) {

@@ -595,6 +595,46 @@ TEST_F(ServiceChaosTest, EngineFaultReachesTheClientAsARetryableErrorFrame) {
   EXPECT_TRUE(completed);
 }
 
+TEST_F(ServiceChaosTest, FailedBatchSendCancelsTheCampaignAndTheDaemonServesOn) {
+  // Records now leave in one send() per batch, so a failed send must still
+  // cancel.  Hit 1 of socket.send is the client's submit frame, hit 2 the
+  // campaign_begin flush, hit 3 the first batch of unit records (2 cells,
+  // 1,024 records each, more than one 64 KiB buffer).
+  constexpr int kRecvDeadlineMs = 10000;
+  const auto port = start_server();
+  ASSERT_TRUE(util::failpoints_configure("socket.send=err@3"));
+  service::LineClient c = connect(port);
+  api::CampaignSpec spec = big_scalar_spec();
+  spec.backend = CoverageBackend::Packed;
+  ASSERT_TRUE(c.send_line(service::submit_frame(spec)));
+  std::vector<std::string> lines;
+  while (true) {
+    ASSERT_TRUE(c.wait_readable(kRecvDeadlineMs)) << "the daemon kept the connection open";
+    const auto line = c.recv_line();
+    if (!line) break;
+    lines.push_back(*line);
+  }
+  // Nothing after the failed send reaches the peer: no record past the
+  // hole, no campaign_end, no campaign_stats.
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].rfind("{\"type\":\"campaign_begin\"", 0), 0u) << lines[0];
+  EXPECT_EQ(server_->counters().campaigns_cancelled, 1u);
+  EXPECT_EQ(server_->counters().campaigns, 0u);
+
+  // The daemon serves the next client in full.
+  service::LineClient next = connect(port);
+  ASSERT_TRUE(next.send_line(service::submit_frame(scalar_spec())));
+  bool completed = false;
+  while (!completed) {
+    ASSERT_TRUE(next.wait_readable(kRecvDeadlineMs)) << "no answer from the daemon";
+    const auto line = next.recv_line();
+    ASSERT_TRUE(line) << "connection closed mid-response";
+    ASSERT_FALSE(service::parse_error_frame(*line).has_value()) << *line;
+    completed = line->find("\"type\":\"campaign_stats\"") != std::string::npos;
+  }
+  EXPECT_EQ(server_->counters().campaigns, 1u);
+}
+
 TEST_F(ServiceChaosTest, IdleClientIsDroppedWithATypedTimeoutFrame) {
   service::ServerConfig config;
   config.idle_timeout_ms = 100;

@@ -337,6 +337,45 @@ TEST(Cli, CoverageRejectsRemovedModesAndBadCollapse) {
   EXPECT_NE(bad_collapse.err.find("--collapse expects on|off"), std::string::npos);
 }
 
+// Each command accepts exactly the flags it reads: a misspelled or foreign
+// flag fails before anything runs, never silently changing the run.
+TEST(Cli, UnknownFlagsAreRejectedPerCommand) {
+  const auto typo =
+      cli({"coverage", "March C-", "--width", "4", "--words", "2", "--bakend", "scalar"});
+  EXPECT_EQ(typo.rc, 1);
+  EXPECT_NE(typo.err.find("error: unknown flag --bakend for 'coverage'"), std::string::npos)
+      << typo.err;
+  EXPECT_TRUE(typo.out.empty()) << "the campaign ran anyway";
+  const auto fault =
+      cli({"coverage", "March C-", "--width", "4", "--words", "2", "--fault", "saf:0.0=1"});
+  EXPECT_EQ(fault.rc, 1);
+  EXPECT_NE(fault.err.find("unknown flag --fault for 'coverage'"), std::string::npos);
+
+  const auto spec = cli({"spec", "March C-", "--width", "4", "--words", "2", "--classes",
+                         "saf", "--seeds", "0"});
+  ASSERT_EQ(spec.rc, 0) << spec.err;
+  const std::string path = write_temp("unknown_flag_spec.json", spec.out);
+  // --threads is a coverage flag; a spec file carries run.threads itself.
+  const auto run = cli({"run", path, "--threads", "2"});
+  EXPECT_EQ(run.rc, 1);
+  EXPECT_NE(run.err.find("error: unknown flag --threads for 'run'"), std::string::npos)
+      << run.err;
+  EXPECT_TRUE(run.out.empty());
+  const auto run_bool = cli({"run", path, "--json"});
+  EXPECT_EQ(run_bool.rc, 1);
+  EXPECT_NE(run_bool.err.find("unknown flag --json for 'run'"), std::string::npos);
+
+  // Rejected before any connection is attempted.
+  const auto submit = cli({"submit", path, "--port", "1", "--sink", "jsonl"});
+  EXPECT_EQ(submit.rc, 1);
+  EXPECT_NE(submit.err.find("error: unknown flag --sink for 'submit'"), std::string::npos)
+      << submit.err;
+
+  // Declared flags still work, and --failpoints is global.
+  const auto ok = cli({"run", path, "--sink", "jsonl", "--failpoints", ""});
+  EXPECT_EQ(ok.rc, 0) << ok.err;
+}
+
 // `run` on spec files: a legacy "schedule":"repack" runs as before, the
 // removed dense scheduler and tiled widths fail at their run.* paths.
 TEST(Cli, RunAcceptsLegacyRepackAndRejectsRemovedModes) {

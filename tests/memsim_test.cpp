@@ -210,6 +210,38 @@ TEST(Memory, FaultDescribeStrings) {
   EXPECT_EQ(inter.describe(), "CFst<1;1> w0.b0->w1.b0 [inter]");
 }
 
+// describe() strings travel verbatim into the JSON-lines and CSV sinks, the
+// diagnosis output and every golden built on them: pin each class's exact
+// bytes, including both coupling scopes and multi-digit fields.
+TEST(Memory, FaultDescribeGoldenCoversEveryClass) {
+  const std::pair<Fault, const char*> golden[] = {
+      {Fault::saf({0, 0}, false), "SAF(0) @w0.b0"},
+      {Fault::saf({65535, 31}, true), "SAF(1) @w65535.b31"},
+      {Fault::tf({3, 1}, Transition::Up), "TF(^) @w3.b1"},
+      {Fault::tf({10, 7}, Transition::Down), "TF(v) @w10.b7"},
+      {Fault::cfst({2, 0}, true, {2, 3}, false), "CFst<1;0> w2.b0->w2.b3 [intra]"},
+      {Fault::cfst({1, 2}, false, {700, 0}, true), "CFst<0;1> w1.b2->w700.b0 [inter]"},
+      {Fault::cfid({4, 5}, Transition::Up, {4, 1}, true), "CFid<^;1> w4.b5->w4.b1 [intra]"},
+      {Fault::cfid({12, 0}, Transition::Down, {3, 63}, false),
+       "CFid<v;0> w12.b0->w3.b63 [inter]"},
+      {Fault::cfin({9, 2}, Transition::Up, {9, 6}), "CFin<^> w9.b2->w9.b6 [intra]"},
+      {Fault::cfin({0, 1}, Transition::Down, {1023, 1}), "CFin<v> w0.b1->w1023.b1 [inter]"},
+      {Fault::ret({5, 2}, true, 1234), "RET(1,1234u) @w5.b2"},
+      {Fault::ret({0, 0}, false, 0), "RET(0,0u) @w0.b0"},
+      {Fault::af_no_access(9), "AFna @w9"},
+      {Fault::af_alias(4, 4096), "AFaw w4~w4096"},
+  };
+  for (const auto& [fault, expected] : golden) {
+    EXPECT_EQ(fault.describe(), expected);
+    std::string appended = "prefix:";
+    fault.describe_to(appended);
+    EXPECT_EQ(appended, std::string("prefix:") + expected);
+    // The JSON-lines sink embeds these bytes without escaping.
+    for (const char c : fault.describe())
+      EXPECT_TRUE(c >= 0x20 && c < 0x7f && c != '"' && c != '\\') << expected;
+  }
+}
+
 TEST(Memory, ClearFaultsStopsInjection) {
   Memory m(1, 2);
   m.inject(Fault::saf({0, 0}, true));

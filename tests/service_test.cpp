@@ -214,6 +214,42 @@ TEST_F(ServiceTest, ResubmitReplaysByteIdenticallyAndSimulatesNothing) {
   EXPECT_EQ(first.lines.front(), second.lines.front());
 }
 
+// Records leave the daemon one batch per send(), not one record per send():
+// campaign_stats' `sends` counts the send() calls that carried the record
+// stream, each at most one 64 KiB buffer.
+TEST_F(ServiceTest, RecordStreamIsSentPerBatchNotPerRecord) {
+  api::CampaignSpec spec = small_spec();
+  spec.words = 64;
+  spec.width = 8;
+  spec.classes.push_back({api::ClassKind::Ret, CfScope::Both});
+  const auto port = start_server();
+  LineClient c = connect(port);
+  const auto stream_bytes = [](const SubmitResult& r) {
+    std::uint64_t bytes = 0;
+    for (std::size_t i = 0; i + 1 < r.lines.size(); ++i) bytes += r.lines[i].size() + 1;
+    return bytes;
+  };
+  const std::uint64_t cells = 3;
+  const auto buffers = [](std::uint64_t bytes) { return (bytes + 65535) / 65536; };
+
+  // Live: one batch per scheduler round, at most one per (cell, seed).
+  const SubmitResult live = submit_and_drain(c, spec);
+  ASSERT_EQ(frame_type(live.last), "campaign_stats");
+  const std::uint64_t records = live.unit_lines().size();
+  EXPECT_GT(records, 3000u);
+  EXPECT_LE(u64_field(live.last, "sends"),
+            buffers(stream_bytes(live)) + cells * spec.seeds.size() + 2);
+
+  // Fully cached: one batch per replayed cell.
+  const SubmitResult hit = submit_and_drain(c, spec);
+  ASSERT_EQ(u64_field(hit.last, "cached"), cells);
+  const std::uint64_t sends = u64_field(hit.last, "sends");
+  EXPECT_GE(sends, 2u);
+  EXPECT_LE(sends, buffers(stream_bytes(hit)) + cells + 2);
+  EXPECT_LT(sends, records / 100);
+  EXPECT_EQ(live.unit_lines(), hit.unit_lines());
+}
+
 TEST_F(ServiceTest, DeltaSpecSimulatesOnlyTheNewCells) {
   const auto port = start_server();
   LineClient c = connect(port);
